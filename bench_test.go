@@ -146,56 +146,6 @@ func BenchmarkEnvSweep(b *testing.B) {
 	b.ReportMetric(float64(points)/b.Elapsed().Seconds(), "points/s")
 }
 
-// BenchmarkEnvSweepAdaptive measures the oracle-guided sweep in the regime
-// the oracle models exactly: a pressure-free machine (large associativity,
-// no store buffer — the same geometry the oracle's cross-validation test
-// certifies) over a fine step-16 grid. The sweep measures only predicted
-// boundaries plus verification points and interpolates the rest; the
-// measured_pts metric against grid_pts is the honest savings figure, and
-// the result is byte-identical to the dense sweep (asserted in
-// internal/core's tests). On the built-in machines unmodelled mechanisms
-// break plateau flatness and the sweep degrades to dense — see
-// EXPERIMENTS.md.
-func BenchmarkEnvSweepAdaptive(b *testing.B) {
-	bm, _ := biaslab.Benchmark("libquantum")
-	cfg := biaslab.MachineConfig{
-		Name:        "pressure-free",
-		IssueWidth:  4,
-		L1I:         biaslab.CacheConfig{Name: "L1I", SizeKB: 32, LineSize: 64, Ways: 8},
-		L1D:         biaslab.CacheConfig{Name: "L1D", SizeKB: 64, LineSize: 64, Ways: 8},
-		L2:          biaslab.CacheConfig{Name: "L2", SizeKB: 2048, LineSize: 64, Ways: 16},
-		ITLBEntries: 128, DTLBEntries: 256, PageSize: 4096,
-		Predictor: biaslab.PredictorConfig{HistoryBits: 12, BTBEntries: 2048, RASDepth: 16},
-		Penalties: biaslab.Penalties{
-			L1Miss: 10, L2Miss: 200, ITLBMiss: 20, DTLBMiss: 30,
-			Mispredict: 10, BTBRedirect: 4, TakenBranch: 1, MisalignedEntry: 2,
-			SplitAccess: 5, Alias4K: 0, Mul: 3, Div: 20, Sys: 100,
-		},
-		StoreBufferDepth: 0, AliasWindow: 0, FetchBlockBytes: 16,
-	}
-	sizes := biaslab.DefaultEnvSizes(16)
-	var grid, measured int
-	for i := 0; i < b.N; i++ {
-		r := biaslab.NewRunner(benchSize())
-		if err := r.RegisterMachine(cfg.Name, cfg); err != nil {
-			b.Fatal(err)
-		}
-		setup := biaslab.DefaultSetup(cfg.Name)
-		_, stats, err := biaslab.EnvSweepAdaptive(context.Background(), r, bm, setup, sizes, nil)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if stats.Fallbacks != 0 {
-			b.Fatalf("pressure-free plateaus failed verification: %+v", stats)
-		}
-		grid += stats.GridPoints
-		measured += stats.Measured
-	}
-	b.ReportMetric(float64(grid)/float64(b.N), "grid_pts")
-	b.ReportMetric(float64(measured)/float64(b.N), "measured_pts")
-	b.ReportMetric(float64(grid)/b.Elapsed().Seconds(), "points/s")
-}
-
 // BenchmarkMeasureRepeated measures the steady-state cost of re-measuring
 // one (benchmark, setup) on a warm Runner — the singleflight caches make
 // this pure load+simulate, the per-run floor for randomized-setup studies.

@@ -130,10 +130,8 @@ type (
 	// Checkpoint persists completed sweep points for crash-safe resume.
 	Checkpoint = core.Checkpoint
 	// EnvPlan is the bias oracle's measurement plan for an env sweep — the
-	// predicted transition boundaries an adaptive sweep measures around.
+	// predicted transition boundaries and the plateaus between them.
 	EnvPlan = analysis.EnvPlan
-	// AdaptiveSweepStats is the adaptive sweep's measurement ledger.
-	AdaptiveSweepStats = core.AdaptiveSweepStats
 	// MachineConfig describes a simulated machine for Runner.RegisterMachine;
 	// CacheConfig, PredictorConfig and Penalties are its components.
 	MachineConfig   = machine.Config
@@ -200,18 +198,9 @@ func EnvSweepCheckpointed(ctx context.Context, r *Runner, b *BenchmarkProgram, s
 func DefaultEnvSizes(step uint64) []uint64 { return core.DefaultEnvSizes(step) }
 
 // PlanEnvSweep asks the bias oracle for an env sweep's predicted transition
-// boundaries — the plan EnvSweepAdaptive measures against.
+// boundaries — the plan `biaslab predict -json` emits.
 func PlanEnvSweep(r *Runner, b *BenchmarkProgram, setup Setup, sizes []uint64) (*EnvPlan, error) {
 	return core.PlanEnvSweep(r, b, setup, sizes)
-}
-
-// EnvSweepAdaptive is EnvSweep guided by the bias oracle: it measures the
-// predicted transition boundaries plus verification points, interpolates
-// plateaus that verify, and re-measures densely any plateau whose
-// verification fails — byte-identical to EnvSweep when predictions hold,
-// still correct when they don't.
-func EnvSweepAdaptive(ctx context.Context, r *Runner, b *BenchmarkProgram, setup Setup, sizes []uint64, ck Checkpoint) ([]EnvPoint, AdaptiveSweepStats, error) {
-	return core.EnvSweepAdaptive(ctx, r, b, setup, sizes, ck)
 }
 
 // LinkSweep measures the speedup under default, alphabetical, and n random

@@ -139,11 +139,11 @@ func (a *app) cmdPredict(args []string) error {
 	}
 
 	if a.jsonOut {
-		// Emit the measurement plan for an adaptive sweep of the selected
-		// channel: the merged O2+O3 EnvPlan, built through the very function
-		// the adaptive sweep calls, so what this command prints is exactly
-		// what the planner consumes. -O3 is moot here (the plan always
-		// covers both levels).
+		// Emit the measurement plan for a sweep of the selected channel:
+		// the merged O2+O3 EnvPlan, built through the very function the
+		// auditor's oracle rules call, so what this command prints is
+		// exactly what the auditor judges. -O3 is moot here (the plan
+		// always covers both levels).
 		setup := core.DefaultSetup(*machineName)
 		if *icc {
 			setup.Compiler.Personality = compiler.ICC

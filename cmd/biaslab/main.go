@@ -4,9 +4,9 @@
 // Usage:
 //
 //	biaslab run -bench perlbench -machine core2 [-env 512] [-O2|-O3] [-icc] [-co-bench milc]
-//	biaslab sweep-env -bench perlbench -machine core2 [-step 128] [-adaptive]
-//	biaslab sweep-pad -bench hmmer -machine core2 [-adaptive]
-//	biaslab sweep-base -bench hmmer -machine core2 [-adaptive]
+//	biaslab sweep-env -bench perlbench -machine core2 [-step 128]
+//	biaslab sweep-pad -bench hmmer -machine core2
+//	biaslab sweep-base -bench hmmer -machine core2
 //	biaslab sweep-link -bench gcc -machine core2 [-orders 16]
 //	biaslab sweep-tenant -bench hmmer -machine core2 [-co-level O2] [-quantum 4096]
 //	biaslab randomize -bench perlbench -machine core2 [-n 16] [-co-random|-co-bench milc]
@@ -331,18 +331,16 @@ func (a *app) cmdRun(args []string) error {
 
 // sweepFlagSpec declares the extra flags one sweep kind takes; the flag
 // names, defaults and help strings are those of the former per-kind
-// subcommands, verbatim, so collapsing them changed no behavior.
+// subcommands, verbatim, so collapsing them changed no behavior. A kind
+// with no entry (pad, base) takes only -bench and -machine.
 type sweepFlagSpec struct {
-	step     bool   // -step (env)
-	adaptive string // -adaptive help text, "" = no such flag
-	orders   bool   // -orders and -seed (link)
-	tenant   bool   // -co-level and -quantum (tenant)
+	step   bool // -step (env)
+	orders bool // -orders and -seed (link)
+	tenant bool // -co-level and -quantum (tenant)
 }
 
 var sweepFlagSpecs = map[string]sweepFlagSpec{
-	"env":    {step: true, adaptive: "oracle-guided sweep: measure predicted boundaries, verify and interpolate plateaus"},
-	"pad":    {adaptive: "comparator-guided sweep: measure where layouts provably differ, verify and interpolate proven-equal plateaus"},
-	"base":   {adaptive: "comparator-guided sweep: measure where layouts provably differ, verify and interpolate proven-equal plateaus"},
+	"env":    {step: true},
 	"link":   {orders: true},
 	"tenant": {tenant: true},
 }
@@ -355,14 +353,10 @@ func (a *app) cmdSweep(ch channels.Channel, args []string) error {
 	benchName := benchFlag(fs)
 	machineName := machineFlag(fs)
 	var step, seed, quantum *uint64
-	var adaptive *bool
 	var orders *int
 	var coLevel *string
 	if sf.step {
 		step = fs.Uint64("step", 128, "environment-size step in bytes")
-	}
-	if sf.adaptive != "" {
-		adaptive = fs.Bool("adaptive", false, sf.adaptive)
 	}
 	if sf.orders {
 		orders = fs.Int("orders", 16, "number of random link orders")
@@ -383,9 +377,6 @@ func (a *app) cmdSweep(ch channels.Channel, args []string) error {
 	}
 	if step != nil {
 		spec.Step = *step
-	}
-	if adaptive != nil {
-		spec.Adaptive = *adaptive
 	}
 	if orders != nil {
 		spec.Orders = *orders

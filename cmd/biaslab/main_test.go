@@ -45,6 +45,11 @@ func TestRunUsageErrors(t *testing.T) {
 		{"bad size", []string{"-size", "enormous", "list"}},
 		{"resume without journal", []string{"-resume", "list"}},
 		{"bad experiment id", []string{"experiment"}},
+		// No sweep takes -adaptive: an old command line must be refused,
+		// not run as a dense sweep the caller did not ask for.
+		{"retired sweep-env -adaptive", []string{"-size", "test", "sweep-env", "-bench", "hmmer", "-adaptive"}},
+		{"retired sweep-pad -adaptive", []string{"-size", "test", "sweep-pad", "-bench", "hmmer", "-adaptive"}},
+		{"retired sweep-base -adaptive", []string{"-size", "test", "sweep-base", "-bench", "hmmer", "-adaptive"}},
 	}
 	for _, tc := range cases {
 		if got := run(tc.args); got != 2 {

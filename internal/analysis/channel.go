@@ -52,8 +52,8 @@ import (
 //     machine that charges MisalignedEntry, so every run pays a different
 //     penalty sum. This is definite up to exact cancellation by an opposing
 //     change in another structure — possible in principle, not observed in
-//     practice — so plans built from it stay honest by verifying plateaus
-//     empirically (the adaptive sweeps) before interpolating.
+//     practice — so a plan built from it is a prediction to check by
+//     measurement, never a substitute for one.
 //
 //   - UNKNOWN: neither proof applies. A plan treats the pair as a potential
 //     boundary and loses its exactness claim.

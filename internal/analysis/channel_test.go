@@ -124,8 +124,8 @@ func TestChannelCrossValidation(t *testing.T) {
 	}
 }
 
-// TestChannelPlanBoundaries locks the shape NewChannelPlan hands the
-// adaptive sweep: consecutive proven-equal pairs merge into one plateau,
+// TestChannelPlanBoundaries locks the shape NewChannelPlan hands `biaslab
+// predict` and the auditor: consecutive proven-equal pairs merge into one plateau,
 // every non-EQUAL consecutive pair opens a new one, and an undecided pair
 // demotes the plan to approximate without hiding the boundary.
 func TestChannelPlanBoundaries(t *testing.T) {

@@ -8,13 +8,12 @@ import (
 // EnvPlan is the oracle's product in measurement-planning form: over one
 // environment-size grid, the points whose predicted memory-system signature
 // differs from their left neighbour. Between two consecutive boundaries the
-// oracle predicts constant measured cycles, so an adaptive sweep need only
-// measure the boundaries (plus whatever verification points it wants) and
-// interpolate the plateaus.
+// oracle predicts constant measured cycles, so a dense sweep whose grid
+// skips a plateau reports nothing about it.
 //
 // The struct is the shared contract between `biaslab predict -json` and the
-// adaptive sweep planner in internal/core: what the command emits is exactly
-// what the planner consumes.
+// auditor's oracle rules: both build it through internal/core's Plan*Sweep
+// functions, so what the command emits is exactly what the auditor judges.
 type EnvPlan struct {
 	Bench   string `json:"bench"`
 	Machine string `json:"machine"`
@@ -30,9 +29,8 @@ type EnvPlan struct {
 	Boundaries []int `json:"boundaries"`
 	// Exact reports whether every contributing map claimed exactness (no
 	// approximate footprint, no set pressure, no unmodelled mechanism).
-	// Inexact plans are still useful — the adaptive sweep verifies each
-	// plateau empirically and falls back to dense measurement where the
-	// prediction fails — but they carry no standalone guarantee.
+	// Inexact plans are still useful as a map of where to look, but they
+	// carry no standalone guarantee.
 	Exact   bool     `json:"exact"`
 	Reasons []string `json:"reasons,omitempty"`
 }

@@ -306,7 +306,7 @@ func fineGrid() []uint64 {
 }
 
 // planFor builds the merged O2+O3 env plan for a canonical spec — the same
-// artifact `biaslab predict -json` emits and the adaptive sweep consumes.
+// artifact `biaslab predict -json` emits.
 // Compile and link only; nothing is simulated.
 func (a *Auditor) planFor(c server.JobSpec) (*analysis.EnvPlan, error) {
 	size, err := bench.ParseSize(c.Size)
@@ -325,11 +325,6 @@ func (a *Auditor) planFor(c server.JobSpec) (*analysis.EnvPlan, error) {
 func (a *Auditor) ruleOracle(c server.JobSpec) ([]Finding, error) {
 	switch c.Kind {
 	case server.KindSweepEnv:
-		if c.Adaptive {
-			// The adaptive sweep measures the predicted boundaries by
-			// construction; the grid cannot skip them.
-			return nil, nil
-		}
 		plan, err := a.planFor(c)
 		if err != nil {
 			return nil, err
@@ -440,7 +435,7 @@ func ruleCoarseGrid(c server.JobSpec, plan *analysis.EnvPlan) []Finding {
 		Rule:     RuleCoarseGrid,
 		Severity: server.AuditWarn,
 		Message: fmt.Sprintf(
-			"step=%d strides over %d of %d oracle-predicted plateaus (narrowest missed plateau %d bytes): the sweep's bias range underestimates the true swing; use adaptive=true or step ≤ %d",
+			"step=%d strides over %d of %d oracle-predicted plateaus (narrowest missed plateau %d bytes): the sweep's bias range underestimates the true swing; use step ≤ %d",
 			c.Step, missed, len(starts), narrowest, narrowest),
 	}}
 }

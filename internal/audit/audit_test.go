@@ -102,12 +102,6 @@ func TestRuleTable(t *testing.T) {
 			guilty: false,
 		},
 		{
-			name:   "coarse-env-grid innocent when adaptive",
-			spec:   server.JobSpec{Kind: "sweep-env", Bench: "hmmer", Size: "test", Step: 512, Adaptive: true},
-			rule:   audit.RuleCoarseGrid,
-			guilty: false,
-		},
-		{
 			name:     "unrandomized-sensitive guilty run",
 			spec:     server.JobSpec{Kind: "run", Bench: "hmmer", Size: "test", EnvBytes: 512},
 			rule:     audit.RuleUnrandomized,
@@ -406,6 +400,30 @@ func TestSpecFileParsing(t *testing.T) {
 		}
 		if rep.OK {
 			t.Fatalf("inconclusive stored result audited ok: %s", rep)
+		}
+	})
+
+	// Spec fields the JobSpec does not have are refused on the bare-spec
+	// and array paths, naming the field: the retired "adaptive" flag and a
+	// typo must not be audited (and then run) as a different spec.
+	for _, tc := range []struct{ name, field, body string }{
+		{"bare spec with adaptive", "adaptive", `{"kind": "sweep-env", "bench": "hmmer", "size": "test", "adaptive": true}`},
+		{"bare spec with typo", "envv_size", `{"kind": "run", "bench": "hmmer", "size": "test", "envv_size": 1024}`},
+		{"array with adaptive", "adaptive", `[{"kind": "sweep-env", "bench": "hmmer", "size": "test", "adaptive": true}]`},
+		{"array with typo", "envv_size", `[{"kind": "run", "bench": "hmmer", "size": "test"}, {"kind": "run", "bench": "hmmer", "size": "test", "envv_size": 1024}]`},
+	} {
+		t.Run(tc.name+" rejected", func(t *testing.T) {
+			p := write(strings.ReplaceAll(tc.name, " ", "-")+".json", tc.body)
+			if _, err := audit.LoadFile(p); err == nil || !strings.Contains(err.Error(), tc.field) {
+				t.Fatalf("err = %v, want one naming %q", err, tc.field)
+			}
+		})
+	}
+
+	t.Run("trailing data rejected", func(t *testing.T) {
+		p := write("trailing.json", `{"kind": "run", "bench": "hmmer", "size": "test"} {}`)
+		if _, err := audit.LoadFile(p); err == nil {
+			t.Fatal("trailing data accepted")
 		}
 	})
 

@@ -2,7 +2,9 @@ package audit
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -47,7 +49,7 @@ func ParseFile(path string, raw []byte) ([]Spec, error) {
 
 	if strings.HasPrefix(trimmed, "[") {
 		var specs []server.JobSpec
-		if err := json.Unmarshal([]byte(trimmed), &specs); err != nil {
+		if err := decodeStrict(trimmed, &specs); err != nil {
 			return nil, fmt.Errorf("audit: %s: %w", path, err)
 		}
 		ins := make([]Spec, len(specs))
@@ -101,10 +103,26 @@ func ParseFile(path string, raw []byte) ([]Spec, error) {
 	}
 
 	var spec server.JobSpec
-	if err := json.Unmarshal([]byte(trimmed), &spec); err != nil {
+	if err := decodeStrict(trimmed, &spec); err != nil {
 		return nil, fmt.Errorf("audit: %s: %w", path, err)
 	}
 	return []Spec{{File: path, Spec: spec, Allow: allow}}, nil
+}
+
+// decodeStrict decodes exactly one JSON value into v and refuses fields v
+// does not have: an audit that silently dropped a misspelled field would
+// judge a spec other than the one the file describes. Stored results stay
+// on the lenient server.DecodeResult, so older journals still load.
+func decodeStrict(data string, v any) error {
+	dec := json.NewDecoder(strings.NewReader(data))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	if _, err := dec.Token(); !errors.Is(err, io.EOF) {
+		return fmt.Errorf("trailing data after the JSON value")
+	}
+	return nil
 }
 
 // stripComments removes `//` line comments (whole-line only, so string

@@ -13,8 +13,8 @@ import (
 // ("pad") and ASLR-style image-base displacement ("base"). Both perturb only
 // where the code lands, exactly like the env channel perturbs only where the
 // stack lands, so they get the same sweep machinery: a grid of values, one
-// O3-over-O2 speedup per point, checkpoint/resume, and (in adaptive.go) a
-// dataflow-backed plan that proves plateaus instead of measuring them.
+// O3-over-O2 speedup per point, checkpoint/resume, and (in plan.go) a
+// dataflow-backed plan of where the layout can change the measurement.
 
 // ChannelPoint is one point of a scalar channel sweep.
 type ChannelPoint struct {

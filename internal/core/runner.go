@@ -367,7 +367,7 @@ func setupID(b *bench.Benchmark, setup Setup) string {
 
 // stagedExecutable runs the compile and link stages for (b, setup) behind
 // the runStage fault boundary — the shared front half of measure and
-// MeasureBatch. sid must be setupID(b, setup).
+// measureCoRun. sid must be setupID(b, setup).
 func (r *Runner) stagedExecutable(b *bench.Benchmark, setup Setup, sid string) (*linker.Executable, error) {
 	var objs []*obj.Object
 	if err := runStage(StageCompile, b.Name, setup, func() error {

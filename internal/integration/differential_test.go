@@ -1,7 +1,6 @@
 package integration
 
 import (
-	"context"
 	"fmt"
 	"testing"
 
@@ -10,15 +9,25 @@ import (
 	"biaslab/internal/linker"
 	"biaslab/internal/loader"
 	"biaslab/internal/machine"
+	"biaslab/internal/tenancy"
 )
 
 // TestFastPathMatchesReference is the equivalence proof for the optimized
 // execute engine: every benchmark × {O2, O3} × {gcc, icc} × all three
-// machine models runs once through the predecoded fast path and once
-// through the retained straightforward reference stepper, and every
-// counter, the checksum, the output and the exit code must be
-// bit-identical. Any divergence means an "optimization" changed a measured
-// value — the one thing this repo must never do.
+// machine models runs through the retained straightforward reference
+// stepper and three more ways, and every counter, the checksum, the output
+// and the exit code must be bit-identical to the reference run:
+//
+//   - fast: one RunCtx, where the threaded engine retires nearly every
+//     instruction;
+//   - sliced: BeginRun plus StepTo in co-run quanta of
+//     tenancy.DefaultQuantum instructions, so every slice ends in a
+//     threaded-engine → reference-stepper handoff exactly as a co-run does;
+//   - instrumented: profiling and a CountingTracer enabled, which routes
+//     every instruction through the per-op stepper's instrumentation.
+//
+// Any divergence means an "optimization" changed a measured value — the
+// one thing this repo must never do.
 func TestFastPathMatchesReference(t *testing.T) {
 	size := bench.SizeSmall
 	if testing.Short() {
@@ -28,6 +37,7 @@ func TestFastPathMatchesReference(t *testing.T) {
 	personalities := []compiler.Personality{compiler.GCC, compiler.ICC}
 	models := []string{"p4", "core2", "m5"}
 	env := loader.SyntheticEnv(512)
+	const maxInstr = 1 << 31
 
 	for _, b := range bench.All() {
 		b := b
@@ -58,31 +68,41 @@ func TestFastPathMatchesReference(t *testing.T) {
 							}
 							return img
 						}
-						fast, err := machine.New(mc).Run(load(), 1<<31)
-						if err != nil {
-							t.Fatalf("%s: fast run: %v", label, err)
-						}
-						ref, err := machine.New(mc).RunReference(load(), 1<<31)
+						ref, err := machine.New(mc).RunReference(load(), maxInstr)
 						if err != nil {
 							t.Fatalf("%s: reference run: %v", label, err)
 						}
-						if fast.Counters != ref.Counters {
-							t.Errorf("%s: counters diverge:\nfast: %+v\nref:  %+v", label, fast.Counters, ref.Counters)
+
+						fast, err := machine.New(mc).Run(load(), maxInstr)
+						if err != nil {
+							t.Fatalf("%s: fast run: %v", label, err)
 						}
-						if fast.Checksum != ref.Checksum || fast.ExitCode != ref.ExitCode {
-							t.Errorf("%s: checksum/exit diverge: %d/%d vs %d/%d",
-								label, fast.Checksum, fast.ExitCode, ref.Checksum, ref.ExitCode)
-						}
-						if len(fast.Output) != len(ref.Output) {
-							t.Errorf("%s: output length diverges: %d vs %d", label, len(fast.Output), len(ref.Output))
-						} else {
-							for i := range fast.Output {
-								if fast.Output[i] != ref.Output[i] {
-									t.Errorf("%s: output[%d] diverges: %d vs %d", label, i, fast.Output[i], ref.Output[i])
-									break
-								}
+						sameResult(t, label+" fast", fast, ref)
+
+						m := machine.New(mc)
+						m.BeginRun(load())
+						for limit := uint64(tenancy.DefaultQuantum); ; limit += tenancy.DefaultQuantum {
+							halted, err := m.StepTo(limit)
+							if err != nil {
+								t.Fatalf("%s: sliced run: %v", label, err)
+							}
+							if halted {
+								break
+							}
+							if limit >= maxInstr {
+								t.Fatalf("%s: sliced run: %v", label, m.BudgetErr(maxInstr))
 							}
 						}
+						sameResult(t, label+" sliced", m.TakeResult(), ref)
+
+						m = machine.New(mc)
+						m.EnableProfiling(true)
+						m.SetTracer(&machine.CountingTracer{})
+						inst, err := m.Run(load(), maxInstr)
+						if err != nil {
+							t.Fatalf("%s: instrumented run: %v", label, err)
+						}
+						sameResult(t, label+" instrumented", inst, ref)
 					}
 				}
 			}
@@ -90,92 +110,25 @@ func TestFastPathMatchesReference(t *testing.T) {
 	}
 }
 
-// TestRunBatchMatchesReference extends the equivalence proof to the batched
-// engine: for every machine model × compiler personality, ALL benchmark ×
-// level members run interleaved through one machine.RunBatch call, and each
-// member's counters, checksum, output and exit code must be bit-identical
-// to a solo run through the reference stepper. Interleaving is the point —
-// round-robin slicing must not let one member's budget, predictors, or
-// caches contaminate another's.
-func TestRunBatchMatchesReference(t *testing.T) {
-	size := bench.SizeSmall
-	if testing.Short() {
-		size = bench.SizeTest
+// sameResult requires got to match the reference run bit for bit in every
+// counter, the checksum, the exit code and the output.
+func sameResult(t *testing.T, label string, got, ref *machine.Result) {
+	t.Helper()
+	if got.Counters != ref.Counters {
+		t.Errorf("%s: counters diverge:\ngot: %+v\nref: %+v", label, got.Counters, ref.Counters)
 	}
-	levels := []compiler.Level{compiler.O2, compiler.O3}
-	personalities := []compiler.Personality{compiler.GCC, compiler.ICC}
-	models := []string{"p4", "core2", "m5"}
-	env := loader.SyntheticEnv(512)
-
-	type member struct {
-		label string
-		exe   *linker.Executable
-		args  []string
+	if got.Checksum != ref.Checksum || got.ExitCode != ref.ExitCode {
+		t.Errorf("%s: checksum/exit diverge: %d/%d vs %d/%d",
+			label, got.Checksum, got.ExitCode, ref.Checksum, ref.ExitCode)
 	}
-	for _, model := range models {
-		model := model
-		for _, pers := range personalities {
-			pers := pers
-			t.Run(fmt.Sprintf("%s/%v", model, pers), func(t *testing.T) {
-				t.Parallel()
-				mc, ok := machine.ConfigByName(model)
-				if !ok {
-					t.Fatalf("unknown machine %s", model)
-				}
-				var members []member
-				for _, b := range bench.All() {
-					for _, lvl := range levels {
-						cfg := compiler.Config{Level: lvl, Personality: pers}
-						objs, _, err := compiler.Compile(b.Sources(size), cfg)
-						if err != nil {
-							t.Fatalf("%s %s: compile: %v", b.Name, cfg, err)
-						}
-						exe, err := linker.Link(objs, linker.Options{})
-						if err != nil {
-							t.Fatalf("%s %s: link: %v", b.Name, cfg, err)
-						}
-						members = append(members, member{
-							label: fmt.Sprintf("%s/%s/%s", b.Name, cfg, model),
-							exe:   exe,
-							args:  []string{b.Name},
-						})
-					}
-				}
-				load := func(m member) *loader.Image {
-					img, err := loader.Load(m.exe, loader.Options{Env: env, Args: m.args})
-					if err != nil {
-						t.Fatalf("%s: load: %v", m.label, err)
-					}
-					return img
-				}
-				ms := make([]*machine.Machine, len(members))
-				imgs := make([]*loader.Image, len(members))
-				for i, m := range members {
-					ms[i] = machine.New(mc)
-					imgs[i] = load(m)
-				}
-				batch, err := machine.RunBatch(context.Background(), ms, imgs, 1<<31)
-				if err != nil {
-					t.Fatalf("RunBatch: %v", err)
-				}
-				for i, m := range members {
-					ref, err := machine.New(mc).RunReference(load(m), 1<<31)
-					if err != nil {
-						t.Fatalf("%s: reference run: %v", m.label, err)
-					}
-					got := batch[i]
-					if got.Counters != ref.Counters {
-						t.Errorf("%s: counters diverge:\nbatch: %+v\nref:   %+v", m.label, got.Counters, ref.Counters)
-					}
-					if got.Checksum != ref.Checksum || got.ExitCode != ref.ExitCode {
-						t.Errorf("%s: checksum/exit diverge: %d/%d vs %d/%d",
-							m.label, got.Checksum, got.ExitCode, ref.Checksum, ref.ExitCode)
-					}
-					if len(got.Output) != len(ref.Output) {
-						t.Errorf("%s: output length diverges: %d vs %d", m.label, len(got.Output), len(ref.Output))
-					}
-				}
-			})
+	if len(got.Output) != len(ref.Output) {
+		t.Errorf("%s: output length diverges: %d vs %d", label, len(got.Output), len(ref.Output))
+		return
+	}
+	for i := range got.Output {
+		if got.Output[i] != ref.Output[i] {
+			t.Errorf("%s: output[%d] diverges: %d vs %d", label, i, got.Output[i], ref.Output[i])
+			return
 		}
 	}
 }

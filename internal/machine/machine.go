@@ -513,7 +513,7 @@ func (m *Machine) stepTraced() error {
 	if m.prof != nil {
 		err = m.stepProfiled()
 	} else {
-		err = m.stepFast()
+		err = m.stepRef()
 	}
 	m.tracer.Trace(TraceEvent{
 		Seq:     seq,
@@ -526,11 +526,11 @@ func (m *Machine) stepTraced() error {
 	return err
 }
 
-// stepProfiled wraps stepFast with per-function attribution.
+// stepProfiled wraps stepRef with per-function attribution.
 func (m *Machine) stepProfiled() error {
 	before := m.counters.Cycles
 	prevPC := m.pc
-	err := m.stepFast()
+	err := m.stepRef()
 	// A transfer into another function happens only via call/return
 	// (jal/jalr); detect by non-sequential pc movement outside the
 	// current fetch neighbourhood and re-resolve.
@@ -548,181 +548,12 @@ func (m *Machine) setReg(r isa.Reg, v int64) {
 	}
 }
 
-// stepFast executes one predecoded micro-op: the production engine.
-func (m *Machine) stepFast() error {
-	pc := m.pc
-	off := pc - m.textBase
-	// The unsigned subtraction folds the below-text case into the
-	// above-text compare: any pc < textBase wraps far beyond textSize.
-	if off >= m.textSize || pc%uint64(isa.InstSize) != 0 {
-		return m.fail("instruction fetch outside text segment")
-	}
-	m.fetch(pc)
-	u := &m.uops[off/uint64(isa.InstSize)]
-	m.issue()
-
-	next := pc + uint64(isa.InstSize)
-	regs := &m.regs
-
-	switch u.op {
-	case isa.OpNop:
-	case isa.OpAdd:
-		m.setReg(u.rd, regs[u.rs1]+regs[u.rs2])
-	case isa.OpSub:
-		m.setReg(u.rd, regs[u.rs1]-regs[u.rs2])
-	case isa.OpMul:
-		m.counters.MulOps++
-		m.charge(m.cfg.Penalties.Mul)
-		m.setReg(u.rd, regs[u.rs1]*regs[u.rs2])
-	case isa.OpDiv, isa.OpRem:
-		m.counters.DivOps++
-		m.charge(m.cfg.Penalties.Div)
-		if regs[u.rs2] == 0 {
-			return m.fail("integer divide by zero")
-		}
-		if u.op == isa.OpDiv {
-			m.setReg(u.rd, regs[u.rs1]/regs[u.rs2])
-		} else {
-			m.setReg(u.rd, regs[u.rs1]%regs[u.rs2])
-		}
-	case isa.OpAnd:
-		m.setReg(u.rd, regs[u.rs1]&regs[u.rs2])
-	case isa.OpOr:
-		m.setReg(u.rd, regs[u.rs1]|regs[u.rs2])
-	case isa.OpXor:
-		m.setReg(u.rd, regs[u.rs1]^regs[u.rs2])
-	case isa.OpSll:
-		m.setReg(u.rd, regs[u.rs1]<<(uint64(regs[u.rs2])&63))
-	case isa.OpSrl:
-		m.setReg(u.rd, int64(uint64(regs[u.rs1])>>(uint64(regs[u.rs2])&63)))
-	case isa.OpSra:
-		m.setReg(u.rd, regs[u.rs1]>>(uint64(regs[u.rs2])&63))
-	case isa.OpSlt:
-		m.setReg(u.rd, b2i64(regs[u.rs1] < regs[u.rs2]))
-	case isa.OpSltu:
-		m.setReg(u.rd, b2i64(uint64(regs[u.rs1]) < uint64(regs[u.rs2])))
-	case isa.OpAddi:
-		m.setReg(u.rd, regs[u.rs1]+u.imm)
-	case isa.OpMuli:
-		m.counters.MulOps++
-		m.charge(m.cfg.Penalties.Mul)
-		m.setReg(u.rd, regs[u.rs1]*u.imm)
-	case isa.OpAndi:
-		m.setReg(u.rd, regs[u.rs1]&u.imm)
-	case isa.OpOri:
-		m.setReg(u.rd, regs[u.rs1]|u.imm)
-	case isa.OpXori:
-		m.setReg(u.rd, regs[u.rs1]^u.imm)
-	case isa.OpSlli:
-		m.setReg(u.rd, regs[u.rs1]<<uint64(u.imm))
-	case isa.OpSrli:
-		m.setReg(u.rd, int64(uint64(regs[u.rs1])>>uint64(u.imm)))
-	case isa.OpSrai:
-		m.setReg(u.rd, regs[u.rs1]>>uint64(u.imm))
-	case isa.OpSlti:
-		m.setReg(u.rd, b2i64(regs[u.rs1] < u.imm))
-	case isa.OpSltiu:
-		m.setReg(u.rd, b2i64(uint64(regs[u.rs1]) < uint64(u.imm)))
-	case isa.OpLui:
-		m.setReg(u.rd, u.imm)
-
-	case isa.OpLdb, isa.OpLdbu, isa.OpLdh, isa.OpLdhu, isa.OpLdw, isa.OpLdwu, isa.OpLdq:
-		addr := uint64(regs[u.rs1] + u.imm)
-		size := int(u.memSize)
-		limit := uint64(len(m.mem))
-		if addr >= limit || uint64(size) > limit-addr {
-			return m.fail("load at %#x out of bounds", addr)
-		}
-		m.dataAccess(addr, size, true)
-		m.setReg(u.rd, m.loadMem(addr, u.op))
-
-	case isa.OpStb, isa.OpSth, isa.OpStw, isa.OpStq:
-		addr := uint64(regs[u.rs1] + u.imm)
-		size := int(u.memSize)
-		limit := uint64(len(m.mem))
-		if addr >= limit || uint64(size) > limit-addr {
-			return m.fail("store at %#x out of bounds", addr)
-		}
-		if addr < m.textBase+m.textSize && addr+uint64(size) > m.textBase {
-			return m.fail("store at %#x into text segment", addr)
-		}
-		m.dataAccess(addr, size, false)
-		m.storeMem(addr, regs[u.rs2], size)
-
-	case isa.OpBeq, isa.OpBne, isa.OpBlt, isa.OpBge, isa.OpBltu, isa.OpBgeu:
-		m.counters.Branches++
-		taken := false
-		a, b := regs[u.rs1], regs[u.rs2]
-		switch u.op {
-		case isa.OpBeq:
-			taken = a == b
-		case isa.OpBne:
-			taken = a != b
-		case isa.OpBlt:
-			taken = a < b
-		case isa.OpBge:
-			taken = a >= b
-		case isa.OpBltu:
-			taken = uint64(a) < uint64(b)
-		case isa.OpBgeu:
-			taken = uint64(a) >= uint64(b)
-		}
-		if m.pred.Branch(pc, taken) {
-			m.counters.BranchMispredicts++
-			m.charge(m.cfg.Penalties.Mispredict)
-		}
-		if taken {
-			m.control(pc, u.target)
-			next = u.target
-		}
-
-	case isa.OpJmp:
-		m.control(pc, u.target)
-		next = u.target
-
-	case isa.OpJal:
-		m.setReg(u.rd, int64(next))
-		m.pred.Call(next)
-		m.control(pc, u.target)
-		next = u.target
-
-	case isa.OpJalr:
-		target := uint64(regs[u.rs1])
-		if u.rd == isa.R0 && u.rs1 == isa.RA {
-			// Return: consult the return-address stack.
-			if m.pred.Return(target) {
-				m.counters.RASMispredicts++
-				m.charge(m.cfg.Penalties.Mispredict)
-			}
-		} else if u.rd != isa.R0 {
-			m.pred.Call(next)
-		}
-		m.setReg(u.rd, int64(next))
-		m.counters.TakenBranches++
-		m.charge(m.cfg.Penalties.TakenBranch)
-		next = target
-
-	case isa.OpSys:
-		m.counters.Syscalls++
-		m.charge(m.cfg.Penalties.Sys)
-		if err := m.syscall(); err != nil {
-			return err
-		}
-
-	case isa.OpHalt:
-		m.halted = true
-
-	default:
-		return m.fail("invalid opcode %v", u.op)
-	}
-
-	m.pc = next
-	return nil
-}
-
 // stepRef executes one instruction the straightforward way: decode the raw
 // word at pc, then interpret it, recomputing immediates and targets in
-// place. This is the reference engine differential tests hold stepFast to.
+// place. It is both the oracle the differential tests hold the threaded
+// engine to and the only per-op stepper: RunCtx hands it slice tails,
+// faults, non-power-of-two fetch blocks and instrumented (profiled or
+// traced) runs.
 func (m *Machine) stepRef() error {
 	pc := m.pc
 	if pc < m.textBase || pc >= m.textBase+m.textSize || pc%uint64(isa.InstSize) != 0 {

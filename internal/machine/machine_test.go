@@ -287,21 +287,15 @@ func TestProfiling(t *testing.T) {
 	if !strings.Contains(res.Profile.String(), "function") {
 		t.Error("profile table empty")
 	}
-	// Profiling must not change measured cycles vs unprofiled run.
-	m2 := New(Core2())
-	res2, err := m2.Run(img, 10_000_000)
+	// Profiling must not change any measured counter vs an unprofiled run.
+	// img was consumed by the profiled run; rebuild for a clean comparison.
+	img2, _ := buildImage(t, compiler.Config{Level: compiler.O2}, loader.Options{}, smokeSrc)
+	res2, err := New(Core2()).Run(img2, 10_000_000)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Note: img was consumed; rebuild for a clean comparison.
-	img3, _ := buildImage(t, compiler.Config{Level: compiler.O2}, loader.Options{}, smokeSrc)
-	res3, err := m2.Run(img3, 10_000_000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_ = res2
-	if res3.Counters.Cycles != res.Counters.Cycles {
-		t.Errorf("profiling changed timing: %d vs %d", res3.Counters.Cycles, res.Counters.Cycles)
+	if res2.Counters != res.Counters {
+		t.Errorf("profiling changed counters:\nprofiled:   %+v\nunprofiled: %+v", res.Counters, res2.Counters)
 	}
 }
 

@@ -23,9 +23,9 @@ type uop struct {
 	// xop is the threaded engine's dispatch code: uint8(op) for a plain
 	// micro-op, or one of the fused-pair codes (see threaded.go) meaning
 	// "execute this op and the next one under a single dispatch". The plain
-	// op is always preserved alongside, so an engine that ignores xop — or a
-	// branch that lands in the middle of a fused pair — executes the same
-	// instruction stream unfused, bit-identically.
+	// op is always preserved alongside, and the second op's uop is left
+	// untouched, so a branch that lands in the middle of a fused pair
+	// executes the same instruction stream unfused, bit-identically.
 	xop uint8
 	// tidx is the uop index of the static control-transfer target, or -1
 	// when the target leaves the text segment (the engine then defers to the

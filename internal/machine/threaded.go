@@ -1,12 +1,9 @@
 package machine
 
 import (
-	"context"
 	"encoding/binary"
-	"fmt"
 
 	"biaslab/internal/isa"
-	"biaslab/internal/loader"
 )
 
 // This file is the threaded-code execute engine: a single dispatch loop over
@@ -22,12 +19,13 @@ import (
 // (see fusePairs).
 //
 // The engine is a pure throughput optimization: every handler charges the
-// timing model in exactly the order stepFast (and therefore stepRef) does,
-// and every irregular event — pc leaving the text segment, a misaligned
-// indirect target, instrumentation, a non-power-of-two fetch block — exits
-// the loop and defers to the per-op stepper, which reproduces the reference
-// behaviour including the exact fault message. The differential matrix test
-// holds all engines to bit-identical counters, output and checksums.
+// timing model in exactly the order stepRef does, and every irregular event
+// — pc leaving the text segment, a misaligned indirect target,
+// instrumentation, a non-power-of-two fetch block — exits the loop and
+// defers to stepRef, the only per-op stepper, which reproduces the
+// reference behaviour including the exact fault message. The differential
+// matrix test holds the two engines to bit-identical counters, output and
+// checksums.
 
 // Fused-pair dispatch codes, allocated above the architectural opcode space.
 // A uop whose xop carries one of these executes itself AND its successor in
@@ -1037,9 +1035,9 @@ loop:
 }
 
 // runSlice advances execution until halt, fault, or Instructions >= limit.
-// The threaded engine does the bulk; the per-op stepper picks up the last
-// one or two instructions of each slice and every irregular case (entry
-// faults, off-text pc, non-power-of-two fetch blocks).
+// The threaded engine does the bulk; the reference stepper picks up the
+// final stretch of each slice and every irregular case (entry faults,
+// off-text pc, non-power-of-two fetch blocks).
 func (m *Machine) runSlice(limit uint64, instrumented bool) error {
 	if instrumented {
 		for !m.halted && m.counters.Instructions < limit {
@@ -1052,7 +1050,7 @@ func (m *Machine) runSlice(limit uint64, instrumented bool) error {
 	for !m.halted && m.counters.Instructions < limit {
 		// The threaded engine stops a slack short of the limit (its budget
 		// checks are per block, not per op, so it may overshoot its stop
-		// count); the per-op stepper walks the final stretch exactly.
+		// count); the reference stepper walks the final stretch exactly.
 		if m.fetchPot && limit-m.counters.Instructions > threadedSlack+2 {
 			if err := m.runThreaded(limit - threadedSlack); err != nil {
 				return err
@@ -1061,83 +1059,9 @@ func (m *Machine) runSlice(limit uint64, instrumented bool) error {
 				break
 			}
 		}
-		if err := m.stepFast(); err != nil {
+		if err := m.stepRef(); err != nil {
 			return err
 		}
 	}
 	return nil
-}
-
-// batchChunk is how many instructions each batch member advances per
-// round-robin turn: large enough to amortize loop-entry overhead, small
-// enough that K setup variants stay interleaved (and cancellation stays
-// responsive at the same granularity as RunCtx's polling).
-const batchChunk = cancelPollInstrs
-
-// RunBatch executes K loaded images — typically env-offset variants of one
-// executable — each on its own machine, interleaved chunkwise in a single
-// loop. All members share one predecoded micro-op array via the predecode
-// cache, so a sweep decodes its binary once however many setups it steps.
-// The machines are independent, so the interleaving cannot affect state:
-// each result is bit-identical to what ms[k].RunCtx(ctx, imgs[k], maxInstr)
-// returns. The first fault or budget trip aborts the whole batch; results
-// are returned in input order.
-func RunBatch(ctx context.Context, ms []*Machine, imgs []*loader.Image, maxInstr uint64) ([]*Result, error) {
-	if len(ms) != len(imgs) {
-		return nil, fmt.Errorf("machine: RunBatch needs one machine per image (%d machines, %d images)", len(ms), len(imgs))
-	}
-	if maxInstr == 0 {
-		maxInstr = DefaultMaxInstructions
-	}
-	for _, m := range ms {
-		if m.tracer != nil || m.profilingOn {
-			// Instrumented runs take the ordinary path; batching exists to
-			// amortize dispatch, which instrumentation defeats anyway.
-			results := make([]*Result, len(ms))
-			for k := range ms {
-				r, err := ms[k].RunCtx(ctx, imgs[k], maxInstr)
-				if err != nil {
-					return nil, err
-				}
-				results[k] = r
-			}
-			return results, nil
-		}
-	}
-	results := make([]*Result, len(ms))
-	for k := range ms {
-		ms[k].resetState(imgs[k])
-		ms[k].uops = predecodedFor(imgs[k], ms[k].uopScratch)
-		if imgs[k].Exe == nil {
-			ms[k].uopScratch = ms[k].uops
-		}
-	}
-	cancellable := ctx.Done() != nil
-	remaining := len(ms)
-	for remaining > 0 {
-		if cancellable {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-		}
-		for k, m := range ms {
-			if results[k] != nil {
-				continue
-			}
-			limit := maxInstr
-			if l := m.counters.Instructions + batchChunk; l < limit {
-				limit = l
-			}
-			if err := m.runSlice(limit, false); err != nil {
-				return nil, err
-			}
-			if m.halted {
-				results[k] = m.result()
-				remaining--
-			} else if m.counters.Instructions >= maxInstr {
-				return nil, m.budgetErr(maxInstr)
-			}
-		}
-	}
-	return results, nil
 }

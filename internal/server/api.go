@@ -80,13 +80,6 @@ type JobSpec struct {
 	Seed uint64 `json:"seed,omitempty"`
 	// Experiment is the artifact id (F1..F9, T1..T4) for experiment jobs.
 	Experiment string `json:"experiment,omitempty"`
-	// Adaptive switches sweep-env, sweep-pad and sweep-base jobs to the
-	// oracle-guided adaptive sweep: measure predicted transition boundaries
-	// plus verification points, interpolate verified plateaus. Results are
-	// byte-identical to the dense sweep when the oracle's predictions
-	// verify, but the content key still differs (omitempty keeps existing
-	// dense keys stable).
-	Adaptive bool `json:"adaptive,omitempty"`
 	// CoBench pins a co-running benchmark on the shared machine for run
 	// and randomize jobs: the multi-tenant interference channel. Empty
 	// means an idle machine (every pre-existing spec). sweep-tenant jobs
@@ -227,7 +220,6 @@ func (spec JobSpec) Canonicalize() (JobSpec, error) {
 		if c.Step == 0 {
 			c.Step = 128
 		}
-		c.Adaptive = spec.Adaptive
 	case KindSweepPad, KindSweepBase:
 		// The grid is canonical (DefaultPadSizes / DefaultTextBases), so the
 		// spec carries no grid parameters: two requests for the same channel
@@ -235,7 +227,6 @@ func (spec JobSpec) Canonicalize() (JobSpec, error) {
 		if err := needBench(); err != nil {
 			return JobSpec{}, err
 		}
-		c.Adaptive = spec.Adaptive
 	case KindSweepLink:
 		if err := needBench(); err != nil {
 			return JobSpec{}, err
@@ -507,10 +498,7 @@ type EnvSweepResult struct {
 	Benchmark string          `json:"benchmark"`
 	Machine   string          `json:"machine"`
 	Points    []core.EnvPoint `json:"points"`
-	// Adaptive carries the oracle-guided sweep's measurement ledger when the
-	// job ran adaptively; nil for dense sweeps.
-	Adaptive *core.AdaptiveSweepStats `json:"adaptive,omitempty"`
-	Report   core.BiasReport          `json:"report"`
+	Report    core.BiasReport `json:"report"`
 }
 
 // ChannelSweepResult is the result payload of a sweep-pad or sweep-base
@@ -521,10 +509,7 @@ type ChannelSweepResult struct {
 	// Channel is "pad" or "base".
 	Channel string              `json:"channel"`
 	Points  []core.ChannelPoint `json:"points"`
-	// Adaptive carries the comparator-guided sweep's measurement ledger
-	// when the job ran adaptively; nil for dense sweeps.
-	Adaptive *core.AdaptiveSweepStats `json:"adaptive,omitempty"`
-	Report   core.BiasReport          `json:"report"`
+	Report  core.BiasReport     `json:"report"`
 }
 
 // LinkSweepResult is the result payload of a sweep-link job.

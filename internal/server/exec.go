@@ -101,15 +101,7 @@ func executeEnvSweep(ctx context.Context, r *core.Runner, spec JobSpec, ck core.
 	}
 	sizes := core.DefaultEnvSizes(spec.Step)
 	onTotal(len(sizes))
-	var points []core.EnvPoint
-	var adaptive *core.AdaptiveSweepStats
-	if spec.Adaptive {
-		var stats core.AdaptiveSweepStats
-		points, stats, err = core.EnvSweepAdaptive(ctx, r, b, setup, sizes, ck)
-		adaptive = &stats
-	} else {
-		points, err = core.EnvSweepCheckpointed(ctx, r, b, setup, sizes, ck)
-	}
+	points, err := core.EnvSweepCheckpointed(ctx, r, b, setup, sizes, ck)
 	if err != nil {
 		return nil, err
 	}
@@ -121,7 +113,6 @@ func executeEnvSweep(ctx context.Context, r *core.Runner, spec JobSpec, ck core.
 		Benchmark: b.Name,
 		Machine:   spec.Machine,
 		Points:    points,
-		Adaptive:  adaptive,
 		Report:    core.NewBiasReport(b.Name, spec.Machine, "environment size", speedups),
 	}, nil
 }
@@ -133,22 +124,14 @@ func executeChannelSweep(ctx context.Context, r *core.Runner, spec JobSpec, ck c
 	}
 	channel, factor := "pad", "text padding"
 	values := core.DefaultPadSizes()
-	sweep, adaptiveSweep := core.PadSweepCheckpointed, core.PadSweepAdaptive
+	sweep := core.PadSweepCheckpointed
 	if spec.Kind == KindSweepBase {
 		channel, factor = "base", "image base"
 		values = core.DefaultTextBases()
-		sweep, adaptiveSweep = core.BaseSweepCheckpointed, core.BaseSweepAdaptive
+		sweep = core.BaseSweepCheckpointed
 	}
 	onTotal(len(values))
-	var points []core.ChannelPoint
-	var adaptive *core.AdaptiveSweepStats
-	if spec.Adaptive {
-		var stats core.AdaptiveSweepStats
-		points, stats, err = adaptiveSweep(ctx, r, b, setup, values, ck)
-		adaptive = &stats
-	} else {
-		points, err = sweep(ctx, r, b, setup, values, ck)
-	}
+	points, err := sweep(ctx, r, b, setup, values, ck)
 	if err != nil {
 		return nil, err
 	}
@@ -161,7 +144,6 @@ func executeChannelSweep(ctx context.Context, r *core.Runner, spec JobSpec, ck c
 		Machine:   spec.Machine,
 		Channel:   channel,
 		Points:    points,
-		Adaptive:  adaptive,
 		Report:    core.NewBiasReport(b.Name, spec.Machine, factor, speedups),
 	}, nil
 }

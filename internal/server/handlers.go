@@ -57,8 +57,13 @@ type auditRejection struct {
 }
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
+	// Unknown fields are refused, never dropped: a misspelled or retired
+	// field would otherwise run the job at a silent default under a key
+	// the caller did not ask for.
 	var spec JobSpec
-	if err := json.NewDecoder(r.Body).Decode(&spec); err != nil {
+	dec := json.NewDecoder(r.Body)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&spec); err != nil {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("decoding job spec: %w", err))
 		return
 	}

@@ -38,14 +38,6 @@ func TestKeyCanonicalization(t *testing.T) {
 	if k1, k2 := mustKey(t, base), mustKey(t, noisy); k1 != k2 {
 		t.Errorf("kind-irrelevant fields changed the key:\n%s\n%s", k1, k2)
 	}
-
-	// Adaptive:false must key identically to a pre-Adaptive dense spec —
-	// omitempty keeps every stored dense sweep reachable.
-	denseExplicit := base
-	denseExplicit.Adaptive = false
-	if k1, k2 := mustKey(t, base), mustKey(t, denseExplicit); k1 != k2 {
-		t.Errorf("Adaptive:false changed the dense key:\n%s\n%s", k1, k2)
-	}
 }
 
 // TestKeySeparatesWork: any field the kind does use must separate keys.
@@ -58,7 +50,6 @@ func TestKeySeparatesWork(t *testing.T) {
 		{Kind: server.KindSweepEnv, Bench: "hmmer", Size: "test"},
 		{Kind: server.KindSweepEnv, Bench: "hmmer", Step: 64},
 		{Kind: server.KindSweepEnv, Bench: "hmmer", Personality: "icc"},
-		{Kind: server.KindSweepEnv, Bench: "hmmer", Adaptive: true},
 	}
 	seen := map[string]int{mustKey(t, base): -1}
 	for i, v := range variants {
@@ -146,5 +137,30 @@ func TestKeyIsStable(t *testing.T) {
 	}
 	if again := mustKey(t, server.JobSpec{Kind: server.KindSweepEnv, Bench: "hmmer"}); again != key {
 		t.Errorf("keying is not deterministic: %s vs %s", key, again)
+	}
+}
+
+// TestKeyLiterals pins the literal content key of one canonical spec per
+// job kind. A stored result is reachable only under its key, so any change
+// to canonicalization, field names or the encoding that moves one of these
+// orphans every result a daemon or cluster has stored for that kind. Change
+// a value here only together with a deliberate keyVersion bump.
+func TestKeyLiterals(t *testing.T) {
+	for _, tc := range []struct {
+		spec server.JobSpec
+		key  string
+	}{
+		{server.JobSpec{Kind: server.KindRun, Bench: "hmmer"}, "254114e6db0d1144b0f10924daf10d9e3402986b02a781bcc17dee1c5bcbe866"},
+		{server.JobSpec{Kind: server.KindSweepEnv, Bench: "hmmer"}, "bb5564e1293e4438704cde1f9c11efab41e22b6545aaf81953a56422d28834bb"},
+		{server.JobSpec{Kind: server.KindSweepPad, Bench: "hmmer"}, "2bf5c8cc1412dff4b3965676c60d8c0ef281b969e6ba1dfea7aa6e17721f5078"},
+		{server.JobSpec{Kind: server.KindSweepBase, Bench: "hmmer"}, "d7dc3e156758d11be98f7bbe55debdd5de65744ef9e40e978517ee8a6b140dc2"},
+		{server.JobSpec{Kind: server.KindSweepLink, Bench: "hmmer"}, "b5aa01aaac2ebac400c45b4494ff0889551ef3818aac5ce418ed5a890cb0549e"},
+		{server.JobSpec{Kind: server.KindSweepTenant, Bench: "sjeng"}, "914d35139b5acaff01e58f614048a07fc53487d4ed17bdff2152d3fe2e0c8065"},
+		{server.JobSpec{Kind: server.KindRandomize, Bench: "sjeng"}, "55a44fba12cb4ccf7b30761b6045a762458c609f416061108a114a9832c1f9f3"},
+		{server.JobSpec{Kind: server.KindExperiment, Experiment: "F3"}, "ede9263903efc0c9466353ae13e5fd125b43fe9e4ba511ae28ad29320b75cdff"},
+	} {
+		if got := mustKey(t, tc.spec); got != tc.key {
+			t.Errorf("%s key moved:\ngot  %s\nwant %s", tc.spec.Kind, got, tc.key)
+		}
 	}
 }

@@ -66,15 +66,12 @@ type ShardRunner interface {
 
 // Shardable reports whether a canonical spec names a job the cluster can
 // shard: a job whose result decomposes into an enumerable set of
-// independent points. Adaptive sweeps (the measurement set depends on
-// oracle verification at runtime) and adaptive randomize (the sample count
-// depends on interim intervals) stay coordinator-local, as do run and
-// experiment jobs.
+// independent points. Adaptive randomize (the sample count depends on
+// interim intervals) stays coordinator-local, as do run and experiment
+// jobs.
 func Shardable(spec JobSpec) bool {
 	switch spec.Kind {
-	case KindSweepEnv, KindSweepPad, KindSweepBase:
-		return !spec.Adaptive
-	case KindSweepLink, KindSweepTenant:
+	case KindSweepEnv, KindSweepPad, KindSweepBase, KindSweepLink, KindSweepTenant:
 		return true
 	case KindRandomize:
 		return spec.Tol == 0

@@ -3,9 +3,12 @@ package server_test
 import (
 	"bytes"
 	"context"
+	"io"
+	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -309,6 +312,52 @@ func TestSubmitValidation(t *testing.T) {
 	}
 	if m := srv.MetricsSnapshot(); m.JobsSubmitted != 0 {
 		t.Errorf("invalid specs counted as submissions: %d", m.JobsSubmitted)
+	}
+}
+
+// TestSubmitRejectsUnknownFields: POST /v1/jobs refuses a spec carrying a
+// field JobSpec does not have — the retired "adaptive" flag or a typo like
+// "envv_size" — with 400 and a body naming the field, instead of running
+// the job at a silent default. Nothing is submitted.
+func TestSubmitRejectsUnknownFields(t *testing.T) {
+	srv := newServer(t, t.TempDir(), 1)
+	defer srv.Shutdown(context.Background())
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	for _, tc := range []struct{ field, body string }{
+		{"adaptive", `{"kind":"sweep-env","bench":"hmmer","size":"test","adaptive":true}`},
+		{"envv_size", `{"kind":"run","bench":"hmmer","size":"test","envv_size":1024}`},
+	} {
+		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		msg, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s: status %d, want 400: %s", tc.field, resp.StatusCode, msg)
+		}
+		if !strings.Contains(string(msg), tc.field) {
+			t.Errorf("%s: error body does not name the field: %s", tc.field, msg)
+		}
+	}
+	if m := srv.MetricsSnapshot(); m.JobsSubmitted != 0 {
+		t.Errorf("rejected specs counted as submissions: %d", m.JobsSubmitted)
+	}
+}
+
+// TestDecodeResultLenient: stored results stay readable across field
+// removals. A result written when sweeps could run adaptively carries
+// "adaptive" in its spec and payload; it must still decode.
+func TestDecodeResultLenient(t *testing.T) {
+	raw := `{"kind":"sweep-env","spec":{"kind":"sweep-env","size":"test","bench":"hmmer","machine":"core2","personality":"gcc","step":128,"adaptive":true},` +
+		`"env_sweep":{"benchmark":"hmmer","machine":"core2","points":[],"adaptive":{"grid_points":33,"measured":33},"report":{}}}`
+	res, err := server.DecodeResult([]byte(raw))
+	if err != nil {
+		t.Fatalf("legacy result refused: %v", err)
+	}
+	if res.EnvSweep == nil || res.Spec.Bench != "hmmer" {
+		t.Fatalf("legacy result decoded wrong: %+v", res)
 	}
 }
 

@@ -82,9 +82,6 @@ type ChannelSpec struct {
 	// Orders and Seed parameterize the link sweep (link, swept).
 	Orders int    `json:"orders,omitempty"`
 	Seed   uint64 `json:"seed,omitempty"`
-	// Adaptive selects the oracle/comparator-guided sweep (env, pad,
-	// base; swept).
-	Adaptive bool `json:"adaptive,omitempty"`
 	// CoBench pins the co-runner (tenant, fixed — the interference
 	// crime).
 	CoBench string `json:"co_bench,omitempty"`
@@ -248,7 +245,6 @@ func (f *File) Compile() ([]server.JobSpec, error) {
 				if job.Step == 0 {
 					job.Step = DefaultStep
 				}
-				job.Adaptive = ch.Adaptive
 			case "link":
 				job.Orders = ch.Orders
 				if job.Orders == 0 {
@@ -258,8 +254,6 @@ func (f *File) Compile() ([]server.JobSpec, error) {
 				if job.Seed == 0 {
 					job.Seed = DefaultSeed
 				}
-			case "pad", "base":
-				job.Adaptive = ch.Adaptive
 			case "tenant":
 				job.CoLevel = ch.CoLevel
 				job.Quantum = ch.Quantum
@@ -336,7 +330,6 @@ func checkChannel(name string, ch ChannelSpec) error {
 		{ch.EnvBytes != 0, "env_bytes", name == "env" && ch.Mode == ModeFixed},
 		{ch.Orders != 0, "orders", name == "link" && ch.Mode == ModeSwept},
 		{ch.Seed != 0, "seed", name == "link" && ch.Mode == ModeSwept},
-		{ch.Adaptive, "adaptive", (name == "env" || name == "pad" || name == "base") && ch.Mode == ModeSwept},
 		{ch.CoBench != "", "co_bench", name == "tenant" && ch.Mode == ModeFixed},
 		{ch.CoLevel != "", "co_level", name == "tenant"},
 		{ch.Quantum != 0, "quantum", name == "tenant"},
