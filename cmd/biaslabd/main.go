@@ -48,6 +48,15 @@ import (
 	"biaslab/internal/server"
 )
 
+// Connection limits. A client that trickles its request headers or parks
+// an idle keep-alive connection is cut off instead of holding a socket
+// forever. There is deliberately no write timeout: /v1/jobs/{id}/events
+// is a long-lived SSE stream.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
 func main() {
 	addr := flag.String("addr", ":8347", "listen address")
 	dataDir := flag.String("data", "biaslabd-data", "data directory (result store + job journals)")
@@ -126,7 +135,12 @@ func serve(opts serveOptions) error {
 	mux := http.NewServeMux()
 	mux.Handle("/", srv.Handler())
 	coord.Register(mux)
-	httpSrv := &http.Server{Addr: opts.addr, Handler: mux}
+	httpSrv := &http.Server{
+		Addr:              opts.addr,
+		Handler:           mux,
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()

@@ -23,11 +23,11 @@
 //     copy, and a mismatch fails the job loudly as a determinism
 //     violation rather than silently picking one.
 //
-// Correctness rests on the journal, not the protocol. Workers produce
-// points keyed in the single-node checkpoint namespace
-// (core.PointKey), and the coordinator merges them into the job's
-// ordinary checkpoint journal — the same file a single-node run
-// checkpoints into. The final result is then assembled by replaying that
+// Correctness rests on the journal, not the protocol. Planner and workers
+// take a job's points and checkpoint keys from the one point plan the
+// single-node path runs (server.PointPlan), and the coordinator merges
+// worker-measured points into the job's ordinary checkpoint journal — the
+// same file a single-node run checkpoints into. The final result is then assembled by replaying that
 // journal through the ordinary single-node execution path, which makes
 // zero new measurements. Cluster output is therefore byte-identical to
 // single-node output by construction, a cluster job resumes across

@@ -156,13 +156,7 @@ func TestClusterByteIdentity(t *testing.T) {
 	startWorker(t, "w2", cluster.LocalTransport{C: coord})
 	waitWorkers(t, coord, 2)
 
-	specs := []server.JobSpec{
-		{Kind: server.KindSweepEnv, Size: "test", Bench: "hmmer", Machine: "p4", Step: 256},
-		{Kind: server.KindSweepLink, Size: "test", Bench: "hmmer", Machine: "p4", Orders: 4},
-		{Kind: server.KindSweepTenant, Size: "test", Bench: "sjeng", Machine: "core2"},
-		{Kind: server.KindRandomize, Size: "test", Bench: "hmmer", Machine: "p4", N: 6},
-		{Kind: server.KindRandomize, Size: "test", Bench: "sjeng", Machine: "core2", N: 6, CoRandom: true},
-	}
+	specs := cluster.ShardableSpecs
 	for i, spec := range specs {
 		spec := spec
 		t.Run(fmt.Sprintf("%d-%s", i, spec.Kind), func(t *testing.T) {

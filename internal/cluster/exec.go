@@ -10,14 +10,14 @@ import (
 	"biaslab/internal/server"
 )
 
-// ExecuteShard measures the given indices of a job's point enumeration
-// and emits each completed point as (index, key, canonical JSON value).
-// It is the unit both sides share: worker executors run it against their
-// own runner, and the coordinator runs it inline when it degrades to
-// local execution. The emitted value bytes are produced by json.Marshal
-// of the same point structs the single-node checkpoint path records, so
-// merging them into the job journal is byte-identical to a single-node
-// run recording them itself.
+// ExecuteShard measures the given indices of a job's point plan
+// (server.PointPlan) and emits each completed point as (index, key,
+// canonical JSON value). It is the unit both sides share: worker
+// executors run it against their own runner, and the coordinator runs it
+// inline when it degrades to local execution. The emitted value bytes are
+// produced by json.Marshal of the same point structs the single-node
+// checkpoint path records, so merging them into the job journal is
+// byte-identical to a single-node run recording them itself.
 //
 // Fault site: "cluster"/"stall/<shard>" turns the shard into a straggler —
 // it blocks until cancelled instead of measuring, which is what the
@@ -27,85 +27,17 @@ func ExecuteShard(ctx context.Context, r *core.Runner, spec server.JobSpec, shar
 		<-ctx.Done()
 		return ctx.Err()
 	}
-	setup, b, err := server.BaseSetup(spec)
+	// The plan is regenerated here (it is a pure function of the spec)
+	// rather than shipped over the wire.
+	plan, err := server.PointPlan(r, spec)
 	if err != nil {
 		return err
-	}
-	// measure resolves one index to its key and value. The full
-	// enumeration is regenerated here (it is a pure function of the spec)
-	// rather than shipped over the wire.
-	var measure func(ctx context.Context, i int) (string, any, error)
-	switch spec.Kind {
-	case server.KindSweepEnv:
-		sizes := core.DefaultEnvSizes(spec.Step)
-		measure = func(ctx context.Context, i int) (string, any, error) {
-			if i < 0 || i >= len(sizes) {
-				return "", nil, fmt.Errorf("cluster: env point index %d out of range [0,%d)", i, len(sizes))
-			}
-			s := setup
-			s.EnvBytes = sizes[i]
-			p, err := core.MeasureEnvPoint(ctx, r, b, setup, sizes[i])
-			return core.PointKey("env", b.Name, s), p, err
-		}
-	case server.KindSweepPad:
-		values := core.DefaultPadSizes()
-		measure = func(ctx context.Context, i int) (string, any, error) {
-			if i < 0 || i >= len(values) {
-				return "", nil, fmt.Errorf("cluster: pad point index %d out of range [0,%d)", i, len(values))
-			}
-			s := setup
-			s.TextPad = values[i]
-			p, err := core.MeasurePadPoint(ctx, r, b, setup, values[i])
-			return core.PointKey("pad", b.Name, s), p, err
-		}
-	case server.KindSweepBase:
-		values := core.DefaultTextBases()
-		measure = func(ctx context.Context, i int) (string, any, error) {
-			if i < 0 || i >= len(values) {
-				return "", nil, fmt.Errorf("cluster: base point index %d out of range [0,%d)", i, len(values))
-			}
-			s := setup
-			s.TextBase = values[i]
-			p, err := core.MeasureBasePoint(ctx, r, b, setup, values[i])
-			return core.PointKey("base", b.Name, s), p, err
-		}
-	case server.KindSweepLink:
-		cands := core.LinkCandidates(r.UnitNames(b), spec.Orders, spec.Seed)
-		measure = func(ctx context.Context, i int) (string, any, error) {
-			if i < 0 || i >= len(cands) {
-				return "", nil, fmt.Errorf("cluster: link point index %d out of range [0,%d)", i, len(cands))
-			}
-			s := setup
-			s.LinkOrder = cands[i].Order
-			p, err := core.MeasureLinkPoint(ctx, r, b, setup, cands[i])
-			return core.PointKey("link", b.Name, s), p, err
-		}
-	case server.KindSweepTenant:
-		corunners := core.DefaultCoRunners()
-		measure = func(ctx context.Context, i int) (string, any, error) {
-			if i < 0 || i >= len(corunners) {
-				return "", nil, fmt.Errorf("cluster: tenant point index %d out of range [0,%d)", i, len(corunners))
-			}
-			p, err := core.MeasureTenantPoint(ctx, r, b, setup, corunners[i])
-			return core.TenantPointKey(b.Name, setup, corunners[i]), p, err
-		}
-	case server.KindRandomize:
-		setups := randomSetups(r, b, setup, spec)
-		measure = func(ctx context.Context, i int) (string, any, error) {
-			if i < 0 || i >= len(setups) {
-				return "", nil, fmt.Errorf("cluster: rand point index %d out of range [0,%d)", i, len(setups))
-			}
-			p, err := core.MeasureRandomPoint(ctx, r, b, setups[i])
-			return core.PointKey("rand", b.Name, setups[i]), p, err
-		}
-	default:
-		return fmt.Errorf("cluster: job kind %q is not shardable", spec.Kind)
 	}
 	for _, i := range indices {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		key, v, err := measure(ctx, i)
+		v, err := plan.Measure(ctx, i)
 		if err != nil {
 			return fmt.Errorf("cluster: shard %s point %d: %w", shard, i, err)
 		}
@@ -113,7 +45,7 @@ func ExecuteShard(ctx context.Context, r *core.Runner, spec server.JobSpec, shar
 		if err != nil {
 			return fmt.Errorf("cluster: shard %s encoding point %d: %w", shard, i, err)
 		}
-		if err := emit(i, key, raw); err != nil {
+		if err := emit(i, plan.Keys()[i], raw); err != nil {
 			return err
 		}
 	}

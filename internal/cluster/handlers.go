@@ -10,6 +10,7 @@ import (
 	"net/http"
 
 	"biaslab/internal/retry"
+	"biaslab/internal/server"
 )
 
 // Register mounts the cluster protocol on a mux, alongside the daemon's
@@ -19,6 +20,9 @@ import (
 //	POST /v1/cluster/heartbeat  lease renewal + delivery + assignment
 //	POST /v1/cluster/leave      graceful departure
 //	GET  /v1/cluster/status     worker census and coordinator metrics
+//
+// Request bodies are decoded strictly: unknown fields are refused with
+// 400, bodies over server.MaxRequestBytes with 413.
 func (c *Coordinator) Register(mux *http.ServeMux) {
 	mux.HandleFunc("POST /v1/cluster/join", c.handleJoin)
 	mux.HandleFunc("POST /v1/cluster/heartbeat", c.handleHeartbeat)
@@ -36,10 +40,20 @@ type clusterError struct {
 	Error string `json:"error"`
 }
 
+// decodeRequest strictly decodes a protocol request body (see
+// server.DecodeRequest), answering the rejection itself on failure: an
+// unknown field gets 400 naming it, an oversized body 413.
+func decodeRequest(w http.ResponseWriter, r *http.Request, v any) bool {
+	if status, err := server.DecodeRequest(w, r, v); err != nil {
+		clusterJSON(w, status, clusterError{err.Error()})
+		return false
+	}
+	return true
+}
+
 func (c *Coordinator) handleJoin(w http.ResponseWriter, r *http.Request) {
 	var req JoinRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		clusterJSON(w, http.StatusBadRequest, clusterError{err.Error()})
+	if !decodeRequest(w, r, &req) {
 		return
 	}
 	resp, err := c.Join(req)
@@ -55,8 +69,7 @@ func (c *Coordinator) handleJoin(w http.ResponseWriter, r *http.Request) {
 
 func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 	var req HeartbeatRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		clusterJSON(w, http.StatusBadRequest, clusterError{err.Error()})
+	if !decodeRequest(w, r, &req) {
 		return
 	}
 	resp, err := c.Heartbeat(req)
@@ -73,8 +86,7 @@ func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 
 func (c *Coordinator) handleLeave(w http.ResponseWriter, r *http.Request) {
 	var req LeaveRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		clusterJSON(w, http.StatusBadRequest, clusterError{err.Error()})
+	if !decodeRequest(w, r, &req) {
 		return
 	}
 	c.Leave(req)

@@ -3,7 +3,6 @@ package cluster
 import (
 	"fmt"
 
-	"biaslab/internal/bench"
 	"biaslab/internal/core"
 	"biaslab/internal/server"
 )
@@ -19,65 +18,23 @@ type Point struct {
 }
 
 // Points enumerates a shardable job's full measurement set, in the order
-// the single-node path measures it. The enumeration is a pure function of
-// the canonical spec (plus the benchmark's unit list, which the runner
-// resolves deterministically), so the coordinator's planner, a worker's
-// shard executor, and a single-node resume all derive exactly the same
-// points with exactly the same keys — the foundation of the byte-identical
-// merge.
+// the single-node path measures it, from the job's point plan
+// (server.PointPlan). The plan is a pure function of the canonical spec
+// (plus the benchmark's unit list, which the runner resolves
+// deterministically), and it is the very plan server.Execute runs, so the
+// coordinator's planner, a worker's shard executor, and a single-node
+// resume all derive exactly the same points with exactly the same keys —
+// the foundation of the byte-identical merge.
 func Points(r *core.Runner, spec server.JobSpec) ([]Point, error) {
-	setup, b, err := server.BaseSetup(spec)
+	plan, err := server.PointPlan(r, spec)
 	if err != nil {
 		return nil, err
 	}
-	var points []Point
-	switch spec.Kind {
-	case server.KindSweepEnv:
-		for i, sz := range core.DefaultEnvSizes(spec.Step) {
-			s := setup
-			s.EnvBytes = sz
-			points = append(points, Point{i, core.PointKey("env", b.Name, s)})
-		}
-	case server.KindSweepPad:
-		for i, v := range core.DefaultPadSizes() {
-			s := setup
-			s.TextPad = v
-			points = append(points, Point{i, core.PointKey("pad", b.Name, s)})
-		}
-	case server.KindSweepBase:
-		for i, v := range core.DefaultTextBases() {
-			s := setup
-			s.TextBase = v
-			points = append(points, Point{i, core.PointKey("base", b.Name, s)})
-		}
-	case server.KindSweepLink:
-		for i, c := range core.LinkCandidates(r.UnitNames(b), spec.Orders, spec.Seed) {
-			s := setup
-			s.LinkOrder = c.Order
-			points = append(points, Point{i, core.PointKey("link", b.Name, s)})
-		}
-	case server.KindSweepTenant:
-		for i, co := range core.DefaultCoRunners() {
-			points = append(points, Point{i, core.TenantPointKey(b.Name, setup, co)})
-		}
-	case server.KindRandomize:
-		for i, s := range randomSetups(r, b, setup, spec) {
-			points = append(points, Point{i, core.PointKey("rand", b.Name, s)})
-		}
-	default:
-		return nil, fmt.Errorf("cluster: job kind %q is not shardable", spec.Kind)
+	points := make([]Point, len(plan.Keys()))
+	for i, key := range plan.Keys() {
+		points[i] = Point{i, key}
 	}
 	return points, nil
-}
-
-// randomSetups derives a randomize job's setups — with the co-runner as
-// one more randomized factor when the spec asks for it. One function so
-// the planner and the shard executor cannot disagree on the draw.
-func randomSetups(r *core.Runner, b *bench.Benchmark, setup core.Setup, spec server.JobSpec) []core.Setup {
-	if spec.CoRandom {
-		return core.RandomSetupsTenant(setup, spec.N, len(r.UnitNames(b)), spec.Seed, core.DefaultCoRunners())
-	}
-	return core.RandomSetups(setup, spec.N, len(r.UnitNames(b)), spec.Seed)
 }
 
 // planShards groups the pending point indices of a job into shards of at

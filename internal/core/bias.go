@@ -26,107 +26,39 @@ func EnvSweep(ctx context.Context, r *Runner, b *bench.Benchmark, setup Setup, s
 	return EnvSweepCheckpointed(ctx, r, b, setup, sizes, nil)
 }
 
-// sweepKey is the checkpoint key of one sweep point: the sweep kind, the
-// benchmark, and the *complete* rendered setup, so that points recorded
-// under any different setup (machine, compiler, order, padding, shift) can
-// never be replayed for this one.
-func sweepKey(kind string, benchName string, s Setup) string {
+// PointKey returns the checkpoint-journal key of one measurement point:
+// the point's kind, the benchmark, and the *complete* rendered setup, so
+// that points recorded under any different setup (machine, compiler,
+// order, padding, shift, co-runner) can never be replayed for this one.
+// Kinds in use: "env", "pad", "base", "link" and "tenant" (the sweeps)
+// and "rand" (randomized-setup estimates). Every point plan keys its
+// points with it, and the cluster journals worker-measured points under
+// the plan's keys, so key text is a compatibility contract: journals
+// written by older binaries resume only while it stays fixed.
+func PointKey(kind, benchName string, s Setup) string {
 	return kind + "/" + benchName + "/" + s.String()
 }
 
-// PointKey returns the checkpoint-journal key of one sweep point — the
-// same key the checkpointed sweeps record under. Kinds in use: "env"
-// (environment-size sweeps), "link" (link-order sweeps), and "rand"
-// (randomized-setup estimates). Exported so a cluster worker measuring a
-// shard of a sweep produces records in exactly the single-node journal
-// namespace; the byte-identical merge contract depends on it.
-func PointKey(kind, benchName string, s Setup) string {
-	return sweepKey(kind, benchName, s)
-}
-
-// MeasureEnvPoint measures one environment-size sweep point: b's
-// O3-over-O2 speedup with setup's environment forced to size bytes. It is
-// the unit of work EnvSweepCheckpointed runs per point, exported as the
-// shard-execution primitive for distributed sweeps.
-func MeasureEnvPoint(ctx context.Context, r *Runner, b *bench.Benchmark, setup Setup, size uint64) (EnvPoint, error) {
-	s := setup
-	s.EnvBytes = size
-	speedup, mb, mo, err := r.Speedup(ctx, b, s, compiler.O2, compiler.O3)
-	if err != nil {
-		return EnvPoint{}, err
+// EnvPointPlan is the point plan of an environment-size sweep: point i is
+// b's O3-over-O2 speedup with setup's environment forced to sizes[i].
+func EnvPointPlan(r *Runner, b *bench.Benchmark, setup Setup, sizes []uint64) *PointPlan[EnvPoint] {
+	setups := make([]Setup, len(sizes))
+	for i, sz := range sizes {
+		setups[i] = setup
+		setups[i].EnvBytes = sz
 	}
-	return EnvPoint{
-		EnvBytes:   size,
-		CyclesBase: mb.Cycles,
-		CyclesOpt:  mo.Cycles,
-		Speedup:    speedup,
-	}, nil
+	return speedupPlan(r, b, "env", setups, func(i int, speedup float64, mb, mo *Measurement) EnvPoint {
+		return EnvPoint{EnvBytes: sizes[i], CyclesBase: mb.Cycles, CyclesOpt: mo.Cycles, Speedup: speedup}
+	})
 }
 
 // EnvSweepCheckpointed is EnvSweep with journal-based checkpoint/resume:
 // every completed point is recorded in ck before the sweep moves on, and
 // points already recorded (a resumed run) are replayed without
 // re-measurement — bit-identical, because measurements are deterministic.
-//
-// On failure it returns the completed points (in sweep order, with the
-// failed and unreached points explicitly absent) alongside an error that
-// says how much is missing. Callers must treat such partial results as
-// partial: they are never silently aggregated by any code in this package.
+// See PointPlan.Sweep for the partial-result contract.
 func EnvSweepCheckpointed(ctx context.Context, r *Runner, b *bench.Benchmark, setup Setup, sizes []uint64, ck Checkpoint) ([]EnvPoint, error) {
-	points := make([]EnvPoint, len(sizes))
-	done := make([]bool, len(sizes))
-	pending := make([]int, 0, len(sizes))
-	for i, sz := range sizes {
-		s := setup
-		s.EnvBytes = sz
-		if ck != nil {
-			var p EnvPoint
-			ok, err := ck.Lookup(sweepKey("env", b.Name, s), &p)
-			if err != nil {
-				return nil, err
-			}
-			if ok {
-				points[i], done[i] = p, true
-				continue
-			}
-		}
-		pending = append(pending, i)
-	}
-	err := ForEach(ctx, len(pending), 0, func(ctx context.Context, pi int) error {
-		i := pending[pi]
-		p, err := MeasureEnvPoint(ctx, r, b, setup, sizes[i])
-		if err != nil {
-			return err
-		}
-		if ck != nil {
-			s := setup
-			s.EnvBytes = sizes[i]
-			if err := ck.Record(sweepKey("env", b.Name, s), p); err != nil {
-				return err
-			}
-		}
-		points[i], done[i] = p, true
-		return nil
-	})
-	if err != nil {
-		completed := gatherDone(points, done)
-		return completed, fmt.Errorf("core: env sweep of %s incomplete (%d of %d points measured): %w",
-			b.Name, len(completed), len(sizes), err)
-	}
-	return points, nil
-}
-
-// gatherDone compacts the completed points of an interrupted sweep,
-// preserving sweep order. The gaps are *explicit*: the result's length
-// tells the caller exactly how much is missing.
-func gatherDone[T any](points []T, done []bool) []T {
-	out := make([]T, 0, len(points))
-	for i, ok := range done {
-		if ok {
-			out = append(out, points[i])
-		}
-	}
-	return out
+	return EnvPointPlan(r, b, setup, sizes).Sweep(ctx, ck)
 }
 
 // DefaultEnvSizes returns the canonical environment-size sweep: from the
@@ -161,48 +93,48 @@ func LinkSweep(ctx context.Context, r *Runner, b *bench.Benchmark, setup Setup, 
 	return LinkSweepCheckpointed(ctx, r, b, setup, n, seed, nil)
 }
 
-// LinkCandidate is one labelled link order of a link sweep: the default
+// linkCandidate is one labelled link order of a link sweep: the default
 // order, the alphabetical order, or a seeded random permutation.
-type LinkCandidate struct {
+type linkCandidate struct {
 	Label string
 	Order []int
 }
 
-// LinkCandidates enumerates the link orders a link sweep measures — the
+// linkCandidates enumerates the link orders a link sweep measures — the
 // default order, the alphabetical order, and n seeded random permutations.
 // The set is a pure function of (names, n, seed), which is what lets a
 // resumed or distributed sweep regenerate exactly the candidates an
 // earlier run measured.
-func LinkCandidates(names []string, n int, seed uint64) []LinkCandidate {
+func linkCandidates(names []string, n int, seed uint64) []linkCandidate {
 	rng := stats.NewRNG(seed)
-	cands := []LinkCandidate{
+	cands := []linkCandidate{
 		{"default", IdentityOrder(len(names))},
 		{"alphabetical", AlphabeticalOrder(names)},
 	}
 	for i := 0; i < n; i++ {
-		cands = append(cands, LinkCandidate{fmt.Sprintf("random%02d", i), RandomOrder(len(names), rng)})
+		cands = append(cands, linkCandidate{fmt.Sprintf("random%02d", i), RandomOrder(len(names), rng)})
 	}
 	return cands
 }
 
-// MeasureLinkPoint measures one link-order sweep point: b's O3-over-O2
-// speedup under candidate c's link order. The shard-execution primitive
-// for distributed link sweeps, and the unit of work behind
-// LinkSweepCheckpointed.
-func MeasureLinkPoint(ctx context.Context, r *Runner, b *bench.Benchmark, setup Setup, c LinkCandidate) (LinkPoint, error) {
-	s := setup
-	s.LinkOrder = c.Order
-	speedup, mb, mo, err := r.Speedup(ctx, b, s, compiler.O2, compiler.O3)
-	if err != nil {
-		return LinkPoint{}, err
+// LinkPointPlan is the point plan of a link-order sweep: the default
+// order, the alphabetical order, and n random permutations drawn from
+// seed, each measured as b's O3-over-O2 speedup.
+func LinkPointPlan(r *Runner, b *bench.Benchmark, setup Setup, n int, seed uint64) *PointPlan[LinkPoint] {
+	cands := linkCandidates(r.UnitNames(b), n, seed)
+	setups := make([]Setup, len(cands))
+	for i, c := range cands {
+		setups[i] = setup
+		setups[i].LinkOrder = c.Order
 	}
-	return LinkPoint{
-		Label:      c.Label,
-		Order:      c.Order,
-		CyclesBase: mb.Cycles,
-		CyclesOpt:  mo.Cycles,
-		Speedup:    speedup,
-	}, nil
+	p := speedupPlan(r, b, "link", setups, func(i int, speedup float64, mb, mo *Measurement) LinkPoint {
+		return LinkPoint{Label: cands[i].Label, Order: cands[i].Order, CyclesBase: mb.Cycles, CyclesOpt: mo.Cycles, Speedup: speedup}
+	})
+	// A stored point carries cycles and speedup; the label and order are
+	// regenerated, so keep the fresh ones (identical by construction) to
+	// avoid aliasing journal-owned slices.
+	p.fresh = func(i int, lp *LinkPoint) { lp.Label, lp.Order = cands[i].Label, cands[i].Order }
+	return p
 }
 
 // LinkSweepCheckpointed is LinkSweep with checkpoint/resume; see
@@ -210,52 +142,7 @@ func MeasureLinkPoint(ctx context.Context, r *Runner, b *bench.Benchmark, setup 
 // permutation set depends only on (n, seed), so a resumed run regenerates
 // the same candidates and replays the recorded ones.
 func LinkSweepCheckpointed(ctx context.Context, r *Runner, b *bench.Benchmark, setup Setup, n int, seed uint64, ck Checkpoint) ([]LinkPoint, error) {
-	cands := LinkCandidates(r.UnitNames(b), n, seed)
-	points := make([]LinkPoint, len(cands))
-	done := make([]bool, len(cands))
-	pending := make([]int, 0, len(cands))
-	for i, c := range cands {
-		s := setup
-		s.LinkOrder = c.Order
-		if ck != nil {
-			var p LinkPoint
-			ok, err := ck.Lookup(sweepKey("link", b.Name, s), &p)
-			if err != nil {
-				return nil, err
-			}
-			if ok {
-				// The stored point carries cycles and speedup; the label and
-				// order are regenerated, so keep the fresh ones (identical by
-				// construction) to avoid aliasing journal-owned slices.
-				p.Label, p.Order = c.Label, c.Order
-				points[i], done[i] = p, true
-				continue
-			}
-		}
-		pending = append(pending, i)
-	}
-	err := ForEach(ctx, len(pending), 0, func(ctx context.Context, pi int) error {
-		i := pending[pi]
-		p, err := MeasureLinkPoint(ctx, r, b, setup, cands[i])
-		if err != nil {
-			return err
-		}
-		if ck != nil {
-			s := setup
-			s.LinkOrder = cands[i].Order
-			if err := ck.Record(sweepKey("link", b.Name, s), p); err != nil {
-				return err
-			}
-		}
-		points[i], done[i] = p, true
-		return nil
-	})
-	if err != nil {
-		completed := gatherDone(points, done)
-		return completed, fmt.Errorf("core: link sweep of %s incomplete (%d of %d points measured): %w",
-			b.Name, len(completed), len(cands), err)
-	}
-	return points, nil
+	return LinkPointPlan(r, b, setup, n, seed).Sweep(ctx, ck)
 }
 
 // BiasReport summarizes how a benchmark's measured speedup moves as one

@@ -2,10 +2,8 @@ package core
 
 import (
 	"context"
-	"fmt"
 
 	"biaslab/internal/bench"
-	"biaslab/internal/compiler"
 	"biaslab/internal/linker"
 )
 
@@ -41,96 +39,41 @@ var baseChannel = channelSpec{
 	apply: func(s Setup, v uint64) Setup { s.TextBase = v; return s },
 }
 
-// measureChannelPoint measures one scalar-channel sweep point.
-func measureChannelPoint(ctx context.Context, r *Runner, b *bench.Benchmark, spec channelSpec, setup Setup, value uint64) (ChannelPoint, error) {
-	s := spec.apply(setup, value)
-	speedup, mb, mo, err := r.Speedup(ctx, b, s, compiler.O2, compiler.O3)
-	if err != nil {
-		return ChannelPoint{}, err
-	}
-	return ChannelPoint{
-		Value:      value,
-		CyclesBase: mb.Cycles,
-		CyclesOpt:  mo.Cycles,
-		Speedup:    speedup,
-	}, nil
-}
-
-// MeasurePadPoint measures one text-padding sweep point: b's O3-over-O2
-// speedup with setup's inter-object padding forced to value bytes. The
-// shard-execution primitive for distributed pad sweeps.
-func MeasurePadPoint(ctx context.Context, r *Runner, b *bench.Benchmark, setup Setup, value uint64) (ChannelPoint, error) {
-	return measureChannelPoint(ctx, r, b, padChannel, setup, value)
-}
-
-// MeasureBasePoint measures one image-base sweep point: b's O3-over-O2
-// speedup with the image linked at the given base address. Zero means the
-// linker default base.
-func MeasureBasePoint(ctx context.Context, r *Runner, b *bench.Benchmark, setup Setup, value uint64) (ChannelPoint, error) {
-	return measureChannelPoint(ctx, r, b, baseChannel, setup, value)
-}
-
-// channelSweepCheckpointed is the shared body of PadSweepCheckpointed and
-// BaseSweepCheckpointed; see EnvSweepCheckpointed for the journal and
-// partial-result contract.
-func channelSweepCheckpointed(ctx context.Context, r *Runner, b *bench.Benchmark, spec channelSpec, setup Setup, values []uint64, ck Checkpoint) ([]ChannelPoint, error) {
-	points := make([]ChannelPoint, len(values))
-	done := make([]bool, len(values))
-	pending := make([]int, 0, len(values))
+// channelPlan is the point plan of a scalar channel sweep: point i is b's
+// O3-over-O2 speedup with the channel set to values[i].
+func channelPlan(r *Runner, b *bench.Benchmark, spec channelSpec, setup Setup, values []uint64) *PointPlan[ChannelPoint] {
+	setups := make([]Setup, len(values))
 	for i, v := range values {
-		if ck != nil {
-			var p ChannelPoint
-			ok, err := ck.Lookup(sweepKey(spec.kind, b.Name, spec.apply(setup, v)), &p)
-			if err != nil {
-				return nil, err
-			}
-			if ok {
-				points[i], done[i] = p, true
-				continue
-			}
-		}
-		pending = append(pending, i)
+		setups[i] = spec.apply(setup, v)
 	}
-	err := ForEach(ctx, len(pending), 0, func(ctx context.Context, pi int) error {
-		i := pending[pi]
-		p, err := measureChannelPoint(ctx, r, b, spec, setup, values[i])
-		if err != nil {
-			return err
-		}
-		if ck != nil {
-			if err := ck.Record(sweepKey(spec.kind, b.Name, spec.apply(setup, values[i])), p); err != nil {
-				return err
-			}
-		}
-		points[i], done[i] = p, true
-		return nil
+	return speedupPlan(r, b, spec.kind, setups, func(i int, speedup float64, mb, mo *Measurement) ChannelPoint {
+		return ChannelPoint{Value: values[i], CyclesBase: mb.Cycles, CyclesOpt: mo.Cycles, Speedup: speedup}
 	})
-	if err != nil {
-		completed := gatherDone(points, done)
-		return completed, fmt.Errorf("core: %s sweep of %s incomplete (%d of %d points measured): %w",
-			spec.kind, b.Name, len(completed), len(values), err)
-	}
-	return points, nil
 }
 
-// PadSweep measures b's speedup at every inter-object padding in values.
-func PadSweep(ctx context.Context, r *Runner, b *bench.Benchmark, setup Setup, values []uint64) ([]ChannelPoint, error) {
-	return PadSweepCheckpointed(ctx, r, b, setup, values, nil)
+// PadPointPlan is the point plan of a text-padding sweep: setup's
+// inter-object padding forced to each of values, in bytes.
+func PadPointPlan(r *Runner, b *bench.Benchmark, setup Setup, values []uint64) *PointPlan[ChannelPoint] {
+	return channelPlan(r, b, padChannel, setup, values)
 }
 
-// PadSweepCheckpointed is PadSweep with journal-based checkpoint/resume.
+// BasePointPlan is the point plan of an image-base sweep: the image
+// linked at each of values. Zero means the linker default base.
+func BasePointPlan(r *Runner, b *bench.Benchmark, setup Setup, values []uint64) *PointPlan[ChannelPoint] {
+	return channelPlan(r, b, baseChannel, setup, values)
+}
+
+// PadSweepCheckpointed measures b's speedup at every inter-object padding
+// in values, with journal-based checkpoint/resume; see
+// EnvSweepCheckpointed for the journal and partial-result contract.
 func PadSweepCheckpointed(ctx context.Context, r *Runner, b *bench.Benchmark, setup Setup, values []uint64, ck Checkpoint) ([]ChannelPoint, error) {
-	return channelSweepCheckpointed(ctx, r, b, padChannel, setup, values, ck)
+	return PadPointPlan(r, b, setup, values).Sweep(ctx, ck)
 }
 
-// BaseSweep measures b's speedup at every image base in values.
-func BaseSweep(ctx context.Context, r *Runner, b *bench.Benchmark, setup Setup, values []uint64) ([]ChannelPoint, error) {
-	return BaseSweepCheckpointed(ctx, r, b, setup, values, nil)
-}
-
-// BaseSweepCheckpointed is BaseSweep with journal-based checkpoint/resume.
+// BaseSweepCheckpointed measures b's speedup at every image base in
+// values, with journal-based checkpoint/resume.
 func BaseSweepCheckpointed(ctx context.Context, r *Runner, b *bench.Benchmark, setup Setup, values []uint64, ck Checkpoint) ([]ChannelPoint, error) {
-	return channelSweepCheckpointed(ctx, r, b, baseChannel, setup, values, ck)
+	return BasePointPlan(r, b, setup, values).Sweep(ctx, ck)
 }
 
 // DefaultPadSizes returns the canonical padding sweep grid: instruction-

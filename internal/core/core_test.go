@@ -60,17 +60,18 @@ func TestSetupStringCoRunner(t *testing.T) {
 
 	// Tenant point keys: deterministic, and separated by co-runner identity.
 	base := DefaultSetup("core2")
-	idle := TenantPointKey("sjeng", base, TenantIdle)
-	milc := TenantPointKey("sjeng", base, "milc")
+	tenantKey := func(co string) string { return PointKey("tenant", "sjeng", withCoRunner(base, co)) }
+	idle := tenantKey(TenantIdle)
+	milc := tenantKey("milc")
 	if idle == milc {
 		t.Error("idle and milc tenant points share a key")
 	}
-	if again := TenantPointKey("sjeng", base, "milc"); again != milc {
+	if again := tenantKey("milc"); again != milc {
 		t.Errorf("tenant keying not deterministic: %s vs %s", again, milc)
 	}
 	// The idle tenant point keys identically whether spelled "idle" or "":
 	// both mean the machine to itself.
-	if empty := TenantPointKey("sjeng", base, ""); empty != idle {
+	if empty := tenantKey(""); empty != idle {
 		t.Errorf("idle spellings diverge: %s vs %s", empty, idle)
 	}
 }

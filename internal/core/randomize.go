@@ -134,16 +134,52 @@ type RandomPoint struct {
 	Speedup float64 `json:"speedup"`
 }
 
-// MeasureRandomPoint measures b's O3-over-O2 speedup at one randomized
-// setup — the unit of work behind EstimateSpeedup, exported as the
-// shard-execution primitive for distributed randomize jobs. Its checkpoint
-// key is PointKey("rand", b.Name, s).
-func MeasureRandomPoint(ctx context.Context, r *Runner, b *bench.Benchmark, s Setup) (RandomPoint, error) {
-	sp, _, _, err := r.Speedup(ctx, b, s, compiler.O2, compiler.O3)
-	if err != nil {
-		return RandomPoint{}, err
+// RandomPlan is the point plan of a fixed-n randomized estimate: n drawn
+// setups, point i journalled under PointKey("rand", b.Name, setups[i]).
+// Two drawn setups that happen to coincide share a key; the second
+// replays the first's value, which is exactly what re-measuring would
+// produce.
+type RandomPlan struct {
+	*PointPlan[RandomPoint]
+	machine string
+	seed    uint64
+	setups  []Setup
+	tenant  bool
+}
+
+// RandomPointPlan draws the n setups of a randomized estimate from seed —
+// with the co-runner as one more randomized factor over DefaultCoRunners
+// when coRandom is set — and returns their point plan.
+func RandomPointPlan(r *Runner, b *bench.Benchmark, base Setup, n int, seed uint64, coRandom bool) *RandomPlan {
+	var setups []Setup
+	if coRandom {
+		setups = RandomSetupsTenant(base, n, len(r.UnitNames(b)), seed, DefaultCoRunners())
+	} else {
+		setups = RandomSetups(base, n, len(r.UnitNames(b)), seed)
 	}
-	return RandomPoint{Speedup: sp}, nil
+	plan := speedupPlan(r, b, "rand", setups, func(_ int, speedup float64, _, _ *Measurement) RandomPoint {
+		return RandomPoint{Speedup: speedup}
+	})
+	return &RandomPlan{PointPlan: plan, machine: base.Machine, seed: seed, setups: setups, tenant: coRandom}
+}
+
+// Estimate measures the plan with checkpoint/resume through ck (nil
+// disables it) and returns the robust estimate. With the co-runner
+// randomized, the hierarchical interval groups setups by tenant.
+func (p *RandomPlan) Estimate(ctx context.Context, ck Checkpoint) (*RobustEstimate, error) {
+	points, err := p.run(ctx, ck)
+	if err != nil {
+		return nil, err
+	}
+	speedups := make([]float64, len(points))
+	for i, pt := range points {
+		speedups[i] = pt.Speedup
+	}
+	est := newRobustEstimate(p.bench, p.machine, speedups, p.seed)
+	if p.tenant {
+		est.HierCI = tenantHierCI(p.bench, p.machine, p.setups, speedups, p.seed)
+	}
+	return est, nil
 }
 
 // EstimateSpeedup runs benchmark b under n randomized setups and returns
@@ -153,48 +189,12 @@ func EstimateSpeedup(ctx context.Context, r *Runner, b *bench.Benchmark, base Se
 }
 
 // EstimateSpeedupCheckpointed is EstimateSpeedup with journal-based
-// checkpoint/resume: each setup's speedup is recorded under
-// PointKey("rand", b.Name, setup) as it completes, and recorded points are
-// replayed instead of re-measured, so an interrupted randomize run resumes
-// where it stopped with bit-identical output. Two drawn setups that happen
-// to coincide share a key; the second replays the first's value, which is
-// exactly what re-measuring would produce.
+// checkpoint/resume: each setup's speedup is recorded as it completes,
+// and recorded points are replayed instead of re-measured, so an
+// interrupted randomize run resumes where it stopped with bit-identical
+// output.
 func EstimateSpeedupCheckpointed(ctx context.Context, r *Runner, b *bench.Benchmark, base Setup, n int, seed uint64, ck Checkpoint) (*RobustEstimate, error) {
-	setups := RandomSetups(base, n, len(r.UnitNames(b)), seed)
-	speedups := make([]float64, n)
-	pending := make([]int, 0, n)
-	for i, s := range setups {
-		if ck != nil {
-			var p RandomPoint
-			ok, err := ck.Lookup(sweepKey("rand", b.Name, s), &p)
-			if err != nil {
-				return nil, err
-			}
-			if ok {
-				speedups[i] = p.Speedup
-				continue
-			}
-		}
-		pending = append(pending, i)
-	}
-	err := ForEach(ctx, len(pending), 0, func(ctx context.Context, pi int) error {
-		i := pending[pi]
-		p, err := MeasureRandomPoint(ctx, r, b, setups[i])
-		if err != nil {
-			return err
-		}
-		if ck != nil {
-			if err := ck.Record(sweepKey("rand", b.Name, setups[i]), p); err != nil {
-				return err
-			}
-		}
-		speedups[i] = p.Speedup
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return newRobustEstimate(b.Name, base.Machine, speedups, seed), nil
+	return RandomPointPlan(r, b, base, n, seed, false).Estimate(ctx, ck)
 }
 
 // SingleSetupVerdicts contrasts the randomized estimate with what a

@@ -6,7 +6,6 @@ import (
 	"sort"
 
 	"biaslab/internal/bench"
-	"biaslab/internal/compiler"
 	"biaslab/internal/stats"
 )
 
@@ -49,35 +48,23 @@ func withCoRunner(setup Setup, co string) Setup {
 	return setup
 }
 
-// MeasureTenantPoint measures one co-runner sweep point: b's O3-over-O2
-// speedup with the named benchmark (or TenantIdle) sharing the machine.
-// The co-runner is part of the setup, not the comparison: both the O2 and
-// the O3 binary of the subject run against the identical tenant. The
-// shard-execution primitive for distributed tenant sweeps; its checkpoint
-// key is PointKey("tenant", b.Name, withCoRunner(setup, co)).
-func MeasureTenantPoint(ctx context.Context, r *Runner, b *bench.Benchmark, setup Setup, co string) (TenantPoint, error) {
-	s := withCoRunner(setup, co)
-	speedup, mb, mo, err := r.Speedup(ctx, b, s, compiler.O2, compiler.O3)
-	if err != nil {
-		return TenantPoint{}, err
+// TenantPointPlan is the point plan of a co-runner sweep: point i is b's
+// O3-over-O2 speedup with corunners[i] (or TenantIdle) sharing the
+// machine. The co-runner is part of the setup, not the comparison: both
+// the O2 and the O3 binary of the subject run against the identical
+// tenant.
+func TenantPointPlan(r *Runner, b *bench.Benchmark, setup Setup, corunners []string) *PointPlan[TenantPoint] {
+	setups := make([]Setup, len(corunners))
+	for i, co := range corunners {
+		setups[i] = withCoRunner(setup, co)
 	}
-	label := co
-	if s.CoRunner.IsZero() {
-		label = TenantIdle
-	}
-	return TenantPoint{
-		CoRunner:   label,
-		CyclesBase: mb.Cycles,
-		CyclesOpt:  mo.Cycles,
-		Speedup:    speedup,
-	}, nil
-}
-
-// TenantPointKey returns the checkpoint key of one tenant-sweep point —
-// the key TenantSweepCheckpointed records under, exported for cluster
-// shard execution.
-func TenantPointKey(benchName string, setup Setup, co string) string {
-	return sweepKey("tenant", benchName, withCoRunner(setup, co))
+	return speedupPlan(r, b, "tenant", setups, func(i int, speedup float64, mb, mo *Measurement) TenantPoint {
+		label := corunners[i]
+		if setups[i].CoRunner.IsZero() {
+			label = TenantIdle
+		}
+		return TenantPoint{CoRunner: label, CyclesBase: mb.Cycles, CyclesOpt: mo.Cycles, Speedup: speedup}
+	})
 }
 
 // TenantSweep measures b's speedup against every co-runner in corunners.
@@ -89,43 +76,7 @@ func TenantSweep(ctx context.Context, r *Runner, b *bench.Benchmark, setup Setup
 // checkpoint/resume; see EnvSweepCheckpointed for the journal and
 // partial-result contract.
 func TenantSweepCheckpointed(ctx context.Context, r *Runner, b *bench.Benchmark, setup Setup, corunners []string, ck Checkpoint) ([]TenantPoint, error) {
-	points := make([]TenantPoint, len(corunners))
-	done := make([]bool, len(corunners))
-	pending := make([]int, 0, len(corunners))
-	for i, co := range corunners {
-		if ck != nil {
-			var p TenantPoint
-			ok, err := ck.Lookup(TenantPointKey(b.Name, setup, co), &p)
-			if err != nil {
-				return nil, err
-			}
-			if ok {
-				points[i], done[i] = p, true
-				continue
-			}
-		}
-		pending = append(pending, i)
-	}
-	err := ForEach(ctx, len(pending), 0, func(ctx context.Context, pi int) error {
-		i := pending[pi]
-		p, err := MeasureTenantPoint(ctx, r, b, setup, corunners[i])
-		if err != nil {
-			return err
-		}
-		if ck != nil {
-			if err := ck.Record(TenantPointKey(b.Name, setup, corunners[i]), p); err != nil {
-				return err
-			}
-		}
-		points[i], done[i] = p, true
-		return nil
-	})
-	if err != nil {
-		completed := gatherDone(points, done)
-		return completed, fmt.Errorf("core: tenant sweep of %s incomplete (%d of %d points measured): %w",
-			b.Name, len(completed), len(corunners), err)
-	}
-	return points, nil
+	return TenantPointPlan(r, b, setup, corunners).Sweep(ctx, ck)
 }
 
 // RandomSetupsTenant draws n randomized setups exactly like RandomSetups
@@ -146,60 +97,18 @@ func RandomSetupsTenant(base Setup, n, numUnits int, seed uint64, candidates []s
 	return setups
 }
 
-// EstimateSpeedupTenant runs b under n setups with every factor —
-// including the co-runner — randomized, and returns the robust estimate.
-// This is the Kalibera & Jones discipline applied to interference:
-// a co-runner is a nuisance factor like environment size, so a "serving"
-// conclusion must randomize over tenants, not fix one.
-func EstimateSpeedupTenant(ctx context.Context, r *Runner, b *bench.Benchmark, base Setup, n int, seed uint64) (*RobustEstimate, error) {
-	return EstimateSpeedupTenantCheckpointed(ctx, r, b, base, n, seed, nil)
-}
-
-// EstimateSpeedupTenantCheckpointed is EstimateSpeedupTenant with
-// journal-based checkpoint/resume, sharing the "rand" checkpoint
-// namespace (a setup's key includes its co-runner, so tenant-randomized
-// points can never replay for idle-only ones or vice versa). The
-// hierarchical interval groups setups by tenant identity: the co-runner
-// is the random effect, so between-tenant variance — the channel itself —
-// is what widens the interval.
+// EstimateSpeedupTenantCheckpointed runs b under n setups with every
+// factor — including the co-runner — randomized, and returns the robust
+// estimate. This is the Kalibera & Jones discipline applied to
+// interference: a co-runner is a nuisance factor like environment size,
+// so a "serving" conclusion must randomize over tenants, not fix one.
+// Points share the "rand" checkpoint namespace (a setup's key includes its
+// co-runner, so tenant-randomized points can never replay for idle-only
+// ones or vice versa). The hierarchical interval groups setups by tenant
+// identity: the co-runner is the random effect, so between-tenant
+// variance — the channel itself — is what widens the interval.
 func EstimateSpeedupTenantCheckpointed(ctx context.Context, r *Runner, b *bench.Benchmark, base Setup, n int, seed uint64, ck Checkpoint) (*RobustEstimate, error) {
-	setups := RandomSetupsTenant(base, n, len(r.UnitNames(b)), seed, DefaultCoRunners())
-	speedups := make([]float64, n)
-	pending := make([]int, 0, n)
-	for i, s := range setups {
-		if ck != nil {
-			var p RandomPoint
-			ok, err := ck.Lookup(sweepKey("rand", b.Name, s), &p)
-			if err != nil {
-				return nil, err
-			}
-			if ok {
-				speedups[i] = p.Speedup
-				continue
-			}
-		}
-		pending = append(pending, i)
-	}
-	err := ForEach(ctx, len(pending), 0, func(ctx context.Context, pi int) error {
-		i := pending[pi]
-		p, err := MeasureRandomPoint(ctx, r, b, setups[i])
-		if err != nil {
-			return err
-		}
-		if ck != nil {
-			if err := ck.Record(sweepKey("rand", b.Name, setups[i]), p); err != nil {
-				return err
-			}
-		}
-		speedups[i] = p.Speedup
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	est := newRobustEstimate(b.Name, base.Machine, speedups, seed)
-	est.HierCI = tenantHierCI(b.Name, base.Machine, setups, speedups, seed)
-	return est, nil
+	return RandomPointPlan(r, b, base, n, seed, true).Estimate(ctx, ck)
 }
 
 // tenantHierCI computes the hierarchical interval with setups grouped by

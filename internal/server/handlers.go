@@ -11,7 +11,8 @@ import (
 // Handler returns the daemon's HTTP API:
 //
 //	POST /v1/jobs                submit a job (JobSpec → SubmitResponse);
-//	                             ?strict=1 rejects audited-criminal specs (422)
+//	                             ?strict=1 rejects audited-criminal specs (422);
+//	                             unknown fields 400, bodies over MaxRequestBytes 413
 //	GET  /v1/jobs/{id}           job status (JobStatus)
 //	GET  /v1/jobs/{id}/events    SSE stream of per-point progress (?since=N)
 //	GET  /v1/results/{key}       stored result; ?format=json|text|csv
@@ -56,15 +57,32 @@ type auditRejection struct {
 	Audit []AuditFinding `json:"audit"`
 }
 
-func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	// Unknown fields are refused, never dropped: a misspelled or retired
-	// field would otherwise run the job at a silent default under a key
-	// the caller did not ask for.
-	var spec JobSpec
-	dec := json.NewDecoder(r.Body)
+// MaxRequestBytes bounds every JSON request body the daemon decodes: job
+// submissions and the cluster protocol's join, heartbeat and leave.
+const MaxRequestBytes = 8 << 20
+
+// DecodeRequest strictly decodes r's JSON body into v. A body larger than
+// MaxRequestBytes is refused with 413. Unknown fields are refused with 400
+// naming the field, never dropped: a misspelled or retired field would
+// otherwise run at a silent default the caller did not ask for. On
+// failure it returns the status to answer with.
+func DecodeRequest(w http.ResponseWriter, r *http.Request, v any) (int, error) {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxRequestBytes))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(&spec); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("decoding job spec: %w", err))
+	if err := dec.Decode(v); err != nil {
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			return http.StatusRequestEntityTooLarge, fmt.Errorf("request body exceeds %d bytes", MaxRequestBytes)
+		}
+		return http.StatusBadRequest, err
+	}
+	return http.StatusOK, nil
+}
+
+func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
+	var spec JobSpec
+	if status, err := DecodeRequest(w, r, &spec); err != nil {
+		writeError(w, status, fmt.Errorf("decoding job spec: %w", err))
 		return
 	}
 	strict := r.URL.Query().Get("strict") == "1"

@@ -64,9 +64,10 @@ type ShardRunner interface {
 	RunSharded(ctx context.Context, jobKey string, spec JobSpec, audit []AuditFinding, jn *journal.Journal, onPoint func(key string, replayed bool), onTotal func(int)) error
 }
 
-// Shardable reports whether a canonical spec names a job the cluster can
-// shard: a job whose result decomposes into an enumerable set of
-// independent points. Adaptive randomize (the sample count depends on
+// Shardable reports whether a canonical spec names a job with a point
+// plan (see PointPlan): a job whose result decomposes into an enumerable
+// set of independent, checkpointed points, which is exactly what the
+// cluster can shard. Adaptive randomize (the sample count depends on
 // interim intervals) stays coordinator-local, as do run and experiment
 // jobs.
 func Shardable(spec JobSpec) bool {
@@ -489,10 +490,7 @@ func (s *Server) execute(ctx context.Context, j *job) ([]byte, error) {
 		// previous partial cluster run delivered are replayed, not lost.
 	}
 	var ck core.Checkpoint
-	switch {
-	case spec.Kind == KindSweepEnv, spec.Kind == KindSweepPad, spec.Kind == KindSweepBase,
-		spec.Kind == KindSweepLink, spec.Kind == KindSweepTenant, spec.Kind == KindExperiment,
-		spec.Kind == KindRandomize && spec.Tol == 0:
+	if Shardable(spec) || spec.Kind == KindExperiment {
 		jobCk, closeCk, err := s.jobCheckpoint(j)
 		if err != nil {
 			return nil, err

@@ -413,3 +413,25 @@ func TestRunJobThroughHTTP(t *testing.T) {
 		t.Errorf("/metrics drifted from snapshot:\n%s\nvs\n%s", metrics, want)
 	}
 }
+
+// TestSubmitRejectsOversizedBody: POST /v1/jobs reads at most
+// MaxRequestBytes of body and answers 413 past that, without submitting.
+func TestSubmitRejectsOversizedBody(t *testing.T) {
+	srv := newServer(t, t.TempDir(), 1)
+	defer srv.Shutdown(context.Background())
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	body := `{"kind":"run","bench":"hmmer","size":"test","machine":"` + strings.Repeat("x", server.MaxRequestBytes) + `"}`
+	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	msg, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Errorf("status %d, want 413: %s", resp.StatusCode, msg)
+	}
+	if m := srv.MetricsSnapshot(); m.JobsSubmitted != 0 {
+		t.Errorf("oversized spec counted as a submission: %d", m.JobsSubmitted)
+	}
+}
